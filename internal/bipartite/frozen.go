@@ -2,21 +2,48 @@ package bipartite
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/hypergraph"
 )
 
 // Frozen is an immutable compiled view of a bipartite Graph: the frozen CSR
-// graph plus the (V1, V2) partition. Like graph.Frozen it never changes
-// after Freeze returns and is safe for unsynchronized concurrent readers;
-// it is the scheme representation core.Connector compiles once and serves
-// queries from.
+// graph plus the (V1, V2) partition. Like graph.Frozen its graph and
+// partition never change after Freeze returns and it is safe for
+// unsynchronized concurrent readers; it is the scheme representation
+// core.Connector compiles once and serves queries from.
+//
+// The one exception is the write-once memo behind Lemma1Order: each
+// connected component's Lemma 1 ordering is derived from the immutable
+// graph on first use, published atomically and never changed after, so
+// it lives and dies with the Frozen (one compiled epoch) and concurrent
+// readers still need no synchronization of their own.
 type Frozen struct {
 	g    *graph.Frozen
 	side []graph.Side
 	v1   []int
 	v2   []int
+
+	lemma1 atomic.Pointer[lemma1Memo] // nil until the first Lemma1Order
+}
+
+// lemma1Memo holds the per-component Lemma 1 orderings of one Frozen.
+// slots is indexed by node id but only a component's lowest id — its key —
+// is ever filled, so a read is two atomic loads and no hashing or boxing.
+type lemma1Memo struct {
+	slots  []atomic.Pointer[lemma1Entry]
+	builds atomic.Int64 // orderings built, for tests
+}
+
+// lemma1Entry is one component's ordering and α-acyclicity verdict. done
+// publishes order and ok: once it reads true they are never written again.
+type lemma1Entry struct {
+	mu    sync.Mutex
+	done  atomic.Bool
+	order []int
+	ok    bool
 }
 
 // Freeze compiles b into its immutable view. The snapshot is deep: later
@@ -88,6 +115,84 @@ func (f *Frozen) V1() []int { return f.v1 }
 // V2 returns the ids of the V2 nodes in increasing order. The slice is
 // shared and must not be modified.
 func (f *Frozen) V2() []int { return f.v2 }
+
+// Lemma1Order returns the Lemma 1 elimination ordering W = v₁², …, v_q² of
+// the V2 nodes of one connected component — comp must be exactly the mask
+// of a component, as graph.Frozen.ComponentBits returns it — and whether
+// H¹ of the component is α-acyclic. ok == false means the component is not
+// V1-chordal and V1-conformal, so no ordering exists. The ordering is the
+// same for every call, and the caller must not modify it.
+//
+// Each component's ordering is built once, on its first call, and keyed by
+// the component's lowest node id; concurrent first callers wait for that
+// one build. Later calls are lock-free and allocate nothing. Nothing is
+// allocated for a Frozen that is never asked.
+func (f *Frozen) Lemma1Order(comp graph.Bits) (order []int, ok bool) {
+	m := f.lemma1.Load()
+	if m == nil {
+		m = &lemma1Memo{slots: make([]atomic.Pointer[lemma1Entry], f.N())}
+		if !f.lemma1.CompareAndSwap(nil, m) {
+			m = f.lemma1.Load()
+		}
+	}
+	slot := &m.slots[comp.First()]
+	e := slot.Load()
+	if e == nil {
+		e = &lemma1Entry{}
+		if !slot.CompareAndSwap(nil, e) {
+			e = slot.Load()
+		}
+	}
+	if !e.done.Load() {
+		e.build(f, m, comp)
+	}
+	return e.order, e.ok
+}
+
+// build fills e unless a concurrent caller already has. A panicking build
+// leaves e unpublished, so the next caller retries instead of reading a
+// half-built entry.
+func (e *lemma1Entry) build(f *Frozen, m *lemma1Memo, comp graph.Bits) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.done.Load() {
+		return
+	}
+	m.builds.Add(1)
+	e.order, e.ok = f.lemma1Build(comp)
+	e.done.Store(true)
+}
+
+// lemma1Build computes, without the memo, what Lemma1Order returns for
+// the component comp: H¹ of the component is built straight off the CSR
+// arrays, and its greedy maximum-cardinality edge order is verified to
+// have the running intersection property (failure is exactly
+// non-α-acyclicity). Greedy edge order and the check are deterministic
+// over edge indices, and the component restriction preserves relative
+// node and edge order, so the result matches steiner.Lemma1Ordering on the
+// induced subgraph mapped back to original ids. A V2 node without
+// neighbours is its own component and comes out as its one-node ordering.
+func (f *Frozen) lemma1Build(comp graph.Bits) (order []int, ok bool) {
+	corr := f.HypergraphV1AliveBits(comp)
+	rip := corr.H.GreedyEdgeOrder()
+	if corr.H.VerifyRunningIntersection(rip) != -1 {
+		return nil, false
+	}
+	seen := make(map[int]bool, len(corr.EdgeToV2))
+	for _, v := range corr.EdgeToV2 {
+		seen[v] = true
+	}
+	w := make([]int, 0, len(rip)+1)
+	for _, v := range f.v2 {
+		if comp.Has(v) && !seen[v] {
+			w = append(w, v) // isolated V2 node: eliminate first
+		}
+	}
+	for i := len(rip) - 1; i >= 0; i-- {
+		w = append(w, corr.EdgeToV2[rip[i]])
+	}
+	return w, true
+}
 
 // Thaw reconstructs a mutable bipartite Graph equal to the snapshot.
 func (f *Frozen) Thaw() *Graph {

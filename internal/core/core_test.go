@@ -234,3 +234,51 @@ func TestDescribeAlgorithm1Branch(t *testing.T) {
 		t.Errorf("Describe missing Theorem 3 line:\n%s", c.Describe())
 	}
 }
+
+// TestForcedAlgorithm1PerComponent holds the Lemma 1 memo to its
+// per-component key on a scheme that is the disjoint union of a grid and
+// an α-acyclic scheme: a forced Algorithm-1 query on the grid side fails
+// with ErrNotAlphaAcyclic whether or not the α-acyclic side's ordering is
+// memoized already, and the α-acyclic side is solved either way.
+func TestForcedAlgorithm1PerComponent(t *testing.T) {
+	ctx := context.Background()
+	r := rand.New(rand.NewSource(83))
+	grid := gen.GridBipartite(3, 4)
+	alpha := bipartite.FromHypergraph(gen.AlphaAcyclic(r, 12, 3, 3)).B
+	b := gen.DisjointUnion(grid, alpha)
+	gridTerms := []int{0, grid.N() - 1}
+	comp := alpha.G().ComponentContaining([]int{0})
+	if len(comp) < 4 {
+		t.Fatalf("alpha part's first component has only %d nodes", len(comp))
+	}
+	alphaTerms := []int{grid.N() + comp[0], grid.N() + comp[len(comp)-1]}
+	force := core.WithMethod(core.MethodAlgorithm1)
+	want, err := steiner.Algorithm1(b, alphaTerms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alphaFirst := range []bool{false, true} {
+		c := core.New(b)
+		if c.Class().AlphaV1() {
+			t.Fatal("a scheme with a grid component should not classify alpha-acyclic")
+		}
+		solveAlpha := func() {
+			conn, err := c.Connect(ctx, alphaTerms, force)
+			if err != nil {
+				t.Fatalf("alphaFirst=%v: alpha side: %v", alphaFirst, err)
+			}
+			if conn.Method != core.MethodAlgorithm1 || !conn.Tree.Nodes.Equal(want.Nodes) {
+				t.Fatalf("alphaFirst=%v: alpha side answered %v by %v, want %v", alphaFirst, conn.Tree.Nodes, conn.Method, want.Nodes)
+			}
+		}
+		if alphaFirst {
+			solveAlpha()
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := c.Connect(ctx, gridTerms, force); !errors.Is(err, steiner.ErrNotAlphaAcyclic) {
+				t.Fatalf("alphaFirst=%v, ask %d: grid side: %v, want ErrNotAlphaAcyclic", alphaFirst, i, err)
+			}
+			solveAlpha()
+		}
+	}
+}

@@ -329,6 +329,30 @@ func GridBipartite(rows, cols int) *bipartite.Graph {
 	return b
 }
 
+// DisjointUnion returns the disjoint union of the given schemes: their
+// nodes in order, with part i's labels prefixed "i.", their sides and
+// edges, and no edge between parts — so a scheme with one connected
+// component per connected part.
+func DisjointUnion(parts ...*bipartite.Graph) *bipartite.Graph {
+	b := bipartite.New()
+	for i, p := range parts {
+		base := b.N()
+		g := p.G()
+		for v := 0; v < g.N(); v++ {
+			label := fmt.Sprintf("%d.%s", i, g.Label(v))
+			if p.Side(v) == graph.Side1 {
+				b.AddV1(label)
+			} else {
+				b.AddV2(label)
+			}
+		}
+		for _, e := range g.Edges() {
+			b.AddEdge(base+e.U, base+e.V)
+		}
+	}
+	return b
+}
+
 // RandomChordalGraph returns a random chordal graph on n nodes: each new
 // node is attached to a random clique drawn from the closed neighbourhood
 // of a random earlier node, so the insertion order reversed is a perfect

@@ -131,3 +131,20 @@ func TestGeneratorsDeterministic(t *testing.T) {
 		t.Error("AlphaAcyclic not deterministic for a fixed seed")
 	}
 }
+
+func TestDisjointUnion(t *testing.T) {
+	r := rand.New(rand.NewSource(10))
+	tree, grid := RandomTree(r, 9), GridBipartite(2, 3)
+	u := DisjointUnion(tree, grid, tree)
+	if u.N() != 2*tree.N()+grid.N() || u.M() != 2*tree.M()+grid.M() {
+		t.Fatalf("union has %d nodes, %d arcs", u.N(), u.M())
+	}
+	if got := len(u.G().Components()); got != 3 {
+		t.Fatalf("union has %d components, want 3", got)
+	}
+	for v := 0; v < grid.N(); v++ {
+		if u.Side(tree.N()+v) != grid.Side(v) {
+			t.Fatalf("side of grid node %d not kept", v)
+		}
+	}
+}

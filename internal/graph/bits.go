@@ -121,6 +121,16 @@ func (b Bits) SubsetOf(x Bits) bool {
 	return true
 }
 
+// First returns the position of the lowest set bit, or -1 when none is set.
+func (b Bits) First() int {
+	for i, w := range b {
+		if w != 0 {
+			return i<<6 + bits.TrailingZeros64(w)
+		}
+	}
+	return -1
+}
+
 // AppendOnes appends the positions of the set bits (ascending) to dst.
 func (b Bits) AppendOnes(dst []int) []int {
 	for i, w := range b {

@@ -40,6 +40,13 @@ func TestBitsOps(t *testing.T) {
 		if !c.Empty() || !c.SubsetOf(b) {
 			t.Fatalf("n=%d: Reset/Empty failed", n)
 		}
+		if got := c.First(); got != -1 {
+			t.Fatalf("n=%d: First of an empty mask = %d", n, got)
+		}
+		c.Set(n - 1)
+		if got := c.First(); got != n-1 {
+			t.Fatalf("n=%d: First = %d, want %d", n, got, n-1)
+		}
 	}
 }
 

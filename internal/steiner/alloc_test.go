@@ -44,3 +44,36 @@ func TestAlgorithm2FrozenZeroAlloc(t *testing.T) {
 		t.Fatalf("Algorithm2FrozenInto allocates %.1f times per steady-state query, want 0", allocs)
 	}
 }
+
+// TestAlgorithm1FrozenWarmAllocs pins the warm cost of an Algorithm-1
+// query: once its component's Lemma 1 ordering is memoized on the
+// bipartite.Frozen, a call floods the component, runs the elimination pass
+// and renders the result Tree, so its only allocations are the result's
+// node and edge slices growing. A call that rebuilds H¹ and its greedy
+// edge order makes about 600 here, so the bound catches a bypassed memo.
+func TestAlgorithm1FrozenWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation makes sync.Pool drop items; allocs are expected")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+
+	r := rand.New(rand.NewSource(29))
+	fb := gen.RandomTree(r, 256).Freeze() // connected, alpha-acyclic H¹
+	perm := r.Perm(fb.N())
+	terminals := perm[:6]
+
+	for i := 0; i < 3; i++ { // build the memo entry and warm the pool
+		if _, err := steiner.Algorithm1Frozen(ctx, fb, terminals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := steiner.Algorithm1Frozen(ctx, fb, terminals); err != nil {
+			t.Error(err)
+		}
+	})
+	if allocs >= 32 {
+		t.Fatalf("Algorithm1Frozen allocates %.1f times per warm query, want < 32", allocs)
+	}
+	t.Logf("%.1f allocations per warm query", allocs)
+}

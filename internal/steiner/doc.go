@@ -8,7 +8,12 @@
 //     Corollary 5.
 //   - Algorithm 1 (Theorem 3): pseudo-Steiner trees with respect to V2 on
 //     V1-chordal, V1-conformal bipartite graphs, via the running-intersection
-//     elimination ordering of Lemma 1.
+//     elimination ordering of Lemma 1. The ordering belongs to the scheme's
+//     component, not to the query: the frozen port reads it from
+//     bipartite.Frozen.Lemma1Order, which builds it once per connected
+//     component (with its α-acyclicity verdict) and keeps it for the life
+//     of the frozen view, so a warm query only floods the component, runs
+//     the elimination pass and renders the tree.
 //   - Exact baselines: the Dreyfus–Wagner dynamic program (exponential in the
 //     number of terminals) for the node-minimum Steiner problem.
 //   - A metric-closure 2-approximation heuristic, used as the fallback where

@@ -15,7 +15,9 @@ package steiner
 //     word on matrix-backed schemes, the CSR fallback otherwise;
 //   - Algorithm 1 runs on the terminals' component via an alive bitmask over
 //     the shared CSR arrays instead of materializing an induced subgraph
-//     copy with id remapping;
+//     copy with id remapping, and reads the component's Lemma 1 ordering
+//     from bipartite.Frozen's per-component memo instead of rebuilding H¹
+//     per query;
 //   - the Dreyfus–Wagner tables are flat int32 blocks indexed s*n+v, with
 //     BFS distance rows built only for the terminals' component;
 //   - every per-query buffer (bit scratch, alive/terminal masks, distance
@@ -24,9 +26,11 @@ package steiner
 //     result (and the *Into variants not even that — see
 //     TestAlgorithm2FrozenZeroAlloc).
 //
-// Every function here only reads the frozen views, so one frozen scheme can
-// serve any number of concurrent queries (see core.Service); the pooled
-// scratch is owned by exactly one query between get and release.
+// Every function here only reads the frozen views (the Lemma 1 memo, which
+// bipartite.Frozen fills once per component and publishes atomically, is
+// the one write), so one frozen scheme can serve any number of concurrent
+// queries (see core.Service); the pooled scratch is owned by exactly one
+// query between get and release.
 //
 // Each frozen solver takes a context.Context and checks it periodically —
 // at iteration granularity in the polynomial elimination passes, per
@@ -320,10 +324,12 @@ func Algorithm2FrozenInto(ctx context.Context, fg *graph.Frozen, terminals []int
 // the pseudo-Steiner tree with the minimum number of V2 nodes on a
 // V1-chordal, V1-conformal scheme. Instead of materializing the induced
 // subgraph of the terminals' component (as the mutable path does) it runs
-// the Lemma 1 ordering and the elimination pass under an alive bitmask over
-// the shared CSR arrays. It returns ErrNotAlphaAcyclic when H¹ of the
-// component is not α-acyclic. The context is checked every cancelStride
-// elimination steps.
+// the elimination pass under an alive bitmask over the shared CSR arrays.
+// The Lemma 1 ordering comes from bipartite.Frozen.Lemma1Order, which
+// builds it once per component; the first query on a component pays that
+// O(m²) build without context checks. It returns ErrNotAlphaAcyclic when
+// H¹ of the component is not α-acyclic. The context is checked every
+// cancelStride elimination steps.
 func Algorithm1Frozen(ctx context.Context, fb *bipartite.Frozen, terminals []int) (Tree, error) {
 	return Algorithm1FrozenShared(ctx, fb, terminals, nil)
 }
@@ -342,10 +348,10 @@ func Algorithm1FrozenShared(ctx context.Context, fb *bipartite.Frozen, terminals
 		return Tree{}, err
 	}
 	osp := tr.StartSpan("solve.order")
-	w, err := lemma1OrderingAlive(fb, alive)
+	w, ok := fb.Lemma1Order(alive)
 	osp.End()
-	if err != nil {
-		return Tree{}, err
+	if !ok {
+		return Tree{}, ErrNotAlphaAcyclic
 	}
 	term := termMask(sc, terminals)
 	removed := sc.ints[:0]
@@ -409,34 +415,6 @@ func Algorithm1FrozenShared(ctx context.Context, fb *bipartite.Frozen, terminals
 		return Tree{}, err
 	}
 	return t, nil
-}
-
-// lemma1OrderingAlive computes the Lemma 1 elimination ordering of the
-// alive V2 nodes (original ids), building H¹ of the alive subgraph straight
-// off the CSR arrays. Greedy edge order and the running-intersection check
-// are deterministic over edge indices, and the alive restriction preserves
-// relative node and edge order, so the result matches Lemma1Ordering on the
-// induced subgraph mapped back to original ids.
-func lemma1OrderingAlive(fb *bipartite.Frozen, alive graph.Bits) ([]int, error) {
-	corr := fb.HypergraphV1AliveBits(alive)
-	rip := corr.H.GreedyEdgeOrder()
-	if corr.H.VerifyRunningIntersection(rip) != -1 {
-		return nil, ErrNotAlphaAcyclic
-	}
-	seen := make(map[int]bool, len(corr.EdgeToV2))
-	for _, v := range corr.EdgeToV2 {
-		seen[v] = true
-	}
-	w := make([]int, 0, len(fb.V2()))
-	for _, v := range fb.V2() {
-		if (alive == nil || alive.Has(v)) && !seen[v] {
-			w = append(w, v) // isolated V2 node: eliminate first
-		}
-	}
-	for i := len(rip) - 1; i >= 0; i-- {
-		w = append(w, corr.EdgeToV2[rip[i]])
-	}
-	return w, nil
 }
 
 // ExactFrozen is Exact on a frozen graph: the Dreyfus–Wagner dynamic

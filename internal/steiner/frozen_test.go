@@ -3,12 +3,15 @@ package steiner_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/bipartite"
 	"repro/internal/fixtures"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/steiner"
 )
 
@@ -214,4 +217,72 @@ func TestFrozenSolversConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// componentTerminalSets draws small terminal sets inside every connected
+// component of fb, so each component's Lemma 1 ordering gets built.
+func componentTerminalSets(r *rand.Rand, fb *bipartite.Frozen) [][]int {
+	fg := fb.G()
+	sc := graph.NewBitScratch(fg.N())
+	covered := graph.NewBits(fg.N())
+	var sets [][]int
+	for v := 0; v < fg.N(); v++ {
+		if covered.Has(v) {
+			continue
+		}
+		mask, _ := fg.ComponentBits([]int{v}, sc)
+		covered.Or(mask)
+		members := mask.AppendOnes(nil)
+		for k := 1; k <= 3 && k <= len(members); k++ {
+			r.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
+			sets = append(sets, append([]int(nil), members[:k]...))
+		}
+	}
+	return sets
+}
+
+// TestAlgorithm1MemoMatchesMutable holds Algorithm 1's memoized Lemma 1
+// orderings to the mutable path, which rebuilds the ordering on the
+// induced subgraph every time. Every query is asked twice in shuffled
+// order, so each component's ordering is built by whichever query reaches
+// it first and read back by all the others.
+func TestAlgorithm1MemoMatchesMutable(t *testing.T) {
+	r := rand.New(rand.NewSource(71))
+	schemes := fixtureSchemes()
+	for i := 0; i < 4; i++ {
+		schemes[fmt.Sprintf("alpha%d", i)] = bipartite.FromHypergraph(gen.AlphaAcyclic(r, 6+r.Intn(20), 4, 3)).B
+		schemes[fmt.Sprintf("gamma%d", i)] = bipartite.FromHypergraph(gen.GammaAcyclic(r, 6+r.Intn(20), 3, 3)).B
+		schemes[fmt.Sprintf("random%d", i)] = gen.RandomBipartite(r, 4+r.Intn(10), 4+r.Intn(10), 0.2)
+	}
+	schemes["tree"] = gen.RandomTree(r, 150)
+	schemes["grid"] = gen.GridBipartite(3, 4)
+	schemes["union"] = gen.DisjointUnion(schemes["alpha0"], schemes["grid"], gen.RandomTree(r, 40))
+	names := make([]string, 0, len(schemes))
+	for name := range schemes {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var solved, rejected int
+	for _, name := range names {
+		b := schemes[name]
+		fb := b.Freeze()
+		qs := append(terminalSets(r, b.N()), componentTerminalSets(r, fb)...)
+		qs = append(qs, qs...)
+		r.Shuffle(len(qs), func(i, j int) { qs[i], qs[j] = qs[j], qs[i] })
+		for _, terms := range qs {
+			want, err1 := steiner.Algorithm1(b, terms)
+			got, err2 := steiner.Algorithm1Frozen(ctx, fb, terms)
+			assertSameTree(t, fmt.Sprintf("%s %v", name, terms), want, got, err1, err2)
+			switch {
+			case err2 == nil:
+				solved++
+			case errors.Is(err2, steiner.ErrNotAlphaAcyclic):
+				rejected++
+			}
+		}
+	}
+	if solved == 0 || rejected == 0 {
+		t.Fatalf("%d solved and %d rejected queries: want both outcomes exercised", solved, rejected)
+	}
+	t.Logf("%d solved, %d rejected as not alpha-acyclic", solved, rejected)
 }
