@@ -65,8 +65,10 @@ func stripMatrix(tb testing.TB, fb *bipartite.Frozen) (*graph.Frozen, *bipartite
 
 func TestFrozenSolversAtWordBoundaries(t *testing.T) {
 	r := rand.New(rand.NewSource(67))
+	sweep := goldenSweep{name: "boundary"}
 	for _, n := range solverBoundarySizes {
 		for trial := 0; trial < 4; trial++ {
+			scheme := fmt.Sprintf("n%d/t%d", n, trial)
 			b := boundaryScheme(r, n)
 			g := b.G()
 			fb := b.Freeze()
@@ -83,12 +85,14 @@ func TestFrozenSolversAtWordBoundaries(t *testing.T) {
 				assertSameTree(t, label+" Algorithm2/matrix", want, got, err1, err2)
 				got, err2 = steiner.Algorithm2Frozen(ctx, fgCSR, terms)
 				assertSameTree(t, label+" Algorithm2/csr", want, got, err1, err2)
+				sweep.add(scheme, "Algorithm2", terms, want, err1)
 
 				want, err1 = steiner.Algorithm1(b, terms)
 				got, err2 = steiner.Algorithm1Frozen(ctx, fb, terms)
 				assertSameTree(t, label+" Algorithm1/matrix", want, got, err1, err2)
 				got, err2 = steiner.Algorithm1Frozen(ctx, fbCSR, terms)
 				assertSameTree(t, label+" Algorithm1/csr", want, got, err1, err2)
+				sweep.add(scheme, "Algorithm1", terms, want, err1)
 
 				order := r.Perm(n)
 				want, err1 = steiner.EliminateOrdered(g, terms, order)
@@ -96,6 +100,7 @@ func TestFrozenSolversAtWordBoundaries(t *testing.T) {
 				assertSameTree(t, label+" EliminateOrdered/matrix", want, got, err1, err2)
 				got, err2 = steiner.EliminateOrderedFrozen(ctx, fgCSR, terms, order)
 				assertSameTree(t, label+" EliminateOrdered/csr", want, got, err1, err2)
+				sweep.add(scheme, "EliminateOrdered", terms, want, err1)
 
 				if len(terms) <= 5 {
 					want, err1 = steiner.Exact(g, terms)
@@ -103,6 +108,7 @@ func TestFrozenSolversAtWordBoundaries(t *testing.T) {
 					assertSameTree(t, label+" Exact/matrix", want, got, err1, err2)
 					got, err2 = steiner.ExactFrozen(ctx, fgCSR, terms)
 					assertSameTree(t, label+" Exact/csr", want, got, err1, err2)
+					sweep.add(scheme, "Exact", terms, want, err1)
 				}
 
 				want, err1 = steiner.Approximate(g, terms)
@@ -110,9 +116,11 @@ func TestFrozenSolversAtWordBoundaries(t *testing.T) {
 				assertSameTree(t, label+" Approximate/matrix", want, got, err1, err2)
 				got, err2 = steiner.ApproximateFrozen(ctx, fgCSR, terms)
 				assertSameTree(t, label+" Approximate/csr", want, got, err1, err2)
+				sweep.add(scheme, "Approximate", terms, want, err1)
 			}
 		}
 	}
+	sweep.check(t)
 }
 
 // TestPooledScratchHammerAcrossSizes cycles many goroutines through

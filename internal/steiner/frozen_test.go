@@ -72,34 +72,57 @@ func terminalSets(r *rand.Rand, n int) [][]int {
 	return sets
 }
 
+// sortedNames returns the keys of schemes in order, so a sweep that draws
+// terminal sets from one random source visits the schemes the same way on
+// every run.
+func sortedNames(schemes map[string]*bipartite.Graph) []string {
+	names := make([]string, 0, len(schemes))
+	for name := range schemes {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
 func TestAlgorithm2FrozenMatchesMutableOnFixtures(t *testing.T) {
 	r := rand.New(rand.NewSource(51))
-	for name, b := range fixtureSchemes() {
-		g := b.G()
+	sweep := goldenSweep{name: "fixtures-algorithm2"}
+	schemes := fixtureSchemes()
+	for _, name := range sortedNames(schemes) {
+		g := schemes[name].G()
 		fg := g.Freeze()
 		for _, terms := range terminalSets(r, g.N()) {
 			want, err1 := steiner.Algorithm2(g, terms)
 			got, err2 := steiner.Algorithm2Frozen(ctx, fg, terms)
 			assertSameTree(t, name, want, got, err1, err2)
+			sweep.add(name, "Algorithm2", terms, want, err1)
 		}
 	}
+	sweep.check(t)
 }
 
 func TestAlgorithm1FrozenMatchesMutableOnFixtures(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
-	for name, b := range fixtureSchemes() {
+	sweep := goldenSweep{name: "fixtures-algorithm1"}
+	schemes := fixtureSchemes()
+	for _, name := range sortedNames(schemes) {
+		b := schemes[name]
 		fb := b.Freeze()
 		for _, terms := range terminalSets(r, b.N()) {
 			want, err1 := steiner.Algorithm1(b, terms)
 			got, err2 := steiner.Algorithm1Frozen(ctx, fb, terms)
 			assertSameTree(t, name, want, got, err1, err2)
+			sweep.add(name, "Algorithm1", terms, want, err1)
 		}
 	}
+	sweep.check(t)
 }
 
 func TestFrozenSolversMatchMutableRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(59))
+	sweep := goldenSweep{name: "random"}
 	for trial := 0; trial < 25; trial++ {
+		scheme := fmt.Sprintf("t%02d", trial)
 		var b *bipartite.Graph
 		switch trial % 3 {
 		case 0:
@@ -116,27 +139,33 @@ func TestFrozenSolversMatchMutableRandom(t *testing.T) {
 			want, err1 := steiner.Algorithm2(g, terms)
 			got, err2 := steiner.Algorithm2Frozen(ctx, fg, terms)
 			assertSameTree(t, "Algorithm2", want, got, err1, err2)
+			sweep.add(scheme, "Algorithm2", terms, want, err1)
 
 			want, err1 = steiner.Algorithm1(b, terms)
 			got, err2 = steiner.Algorithm1Frozen(ctx, fb, terms)
 			assertSameTree(t, "Algorithm1", want, got, err1, err2)
+			sweep.add(scheme, "Algorithm1", terms, want, err1)
 
 			order := r.Perm(g.N())
 			want, err1 = steiner.EliminateOrdered(g, terms, order)
 			got, err2 = steiner.EliminateOrderedFrozen(ctx, fg, terms, order)
 			assertSameTree(t, "EliminateOrdered", want, got, err1, err2)
+			sweep.add(scheme, "EliminateOrdered", terms, want, err1)
 
 			if len(terms) <= 6 {
 				want, err1 = steiner.Exact(g, terms)
 				got, err2 = steiner.ExactFrozen(ctx, fg, terms)
 				assertSameTree(t, "Exact", want, got, err1, err2)
+				sweep.add(scheme, "Exact", terms, want, err1)
 			}
 
 			want, err1 = steiner.Approximate(g, terms)
 			got, err2 = steiner.ApproximateFrozen(ctx, fg, terms)
 			assertSameTree(t, "Approximate", want, got, err1, err2)
+			sweep.add(scheme, "Approximate", terms, want, err1)
 		}
 	}
+	sweep.check(t)
 }
 
 func TestFrozenSolverErrors(t *testing.T) {
@@ -262,6 +291,7 @@ func TestAlgorithm1MemoMatchesMutable(t *testing.T) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	sweep := goldenSweep{name: "memo"}
 	var solved, rejected int
 	for _, name := range names {
 		b := schemes[name]
@@ -273,6 +303,7 @@ func TestAlgorithm1MemoMatchesMutable(t *testing.T) {
 			want, err1 := steiner.Algorithm1(b, terms)
 			got, err2 := steiner.Algorithm1Frozen(ctx, fb, terms)
 			assertSameTree(t, fmt.Sprintf("%s %v", name, terms), want, got, err1, err2)
+			sweep.add(name, "Algorithm1", terms, want, err1)
 			switch {
 			case err2 == nil:
 				solved++
@@ -281,6 +312,7 @@ func TestAlgorithm1MemoMatchesMutable(t *testing.T) {
 			}
 		}
 	}
+	sweep.check(t)
 	if solved == 0 || rejected == 0 {
 		t.Fatalf("%d solved and %d rejected queries: want both outcomes exercised", solved, rejected)
 	}
