@@ -118,10 +118,11 @@ func BenchmarkAlgorithm1(b *testing.B) {
 		h := gen.AlphaAcyclic(r, m, 4, 3)
 		bg := bipartite.FromHypergraph(h).B
 		g := bg.G()
+		fb := bg.Freeze()
 		terms := largestComponentEnds(g)
 		b.Run(fmt.Sprintf("edges=%d/V=%d/A=%d", m, g.N(), g.M()), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := steiner.Algorithm1(bg, terms); err != nil {
+				if _, err := steiner.Algorithm1FrozenShared(context.Background(), fb, terms, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -135,12 +136,12 @@ func BenchmarkAlgorithm2(b *testing.B) {
 	for _, m := range []int{20, 40, 80, 160} {
 		r := rand.New(rand.NewSource(int64(m)))
 		h := gen.GammaAcyclic(r, m, 3, 3)
-		bg := bipartite.FromHypergraph(h).B
-		g := bg.G()
+		g := bipartite.FromHypergraph(h).B.G()
+		fg := g.Freeze()
 		terms := largestComponentEnds(g)
 		b.Run(fmt.Sprintf("edges=%d/V=%d/A=%d", m, g.N(), g.M()), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := steiner.Algorithm2(g, terms); err != nil {
+				if _, err := steiner.Algorithm2FrozenShared(context.Background(), fg, terms, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -159,16 +160,17 @@ func BenchmarkExactOnX3C(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		fb := red.B.Freeze()
 		b.Run(fmt.Sprintf("Exact/q=%d/terminals=%d", q, len(red.Terminals)), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := steiner.Exact(red.B.G(), red.Terminals); err != nil {
+				if _, err := steiner.ExactFrozenShared(context.Background(), fb.G(), red.Terminals, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("Algorithm1/q=%d/terminals=%d", q, len(red.Terminals)), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := steiner.Algorithm1(red.B, red.Terminals); err != nil {
+				if _, err := steiner.Algorithm1FrozenShared(context.Background(), fb, red.Terminals, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -182,11 +184,12 @@ func BenchmarkEliminateOrdered(b *testing.B) {
 	r := rand.New(rand.NewSource(11))
 	h := gen.GammaAcyclic(r, 60, 3, 3)
 	g := bipartite.FromHypergraph(h).B.G()
+	fg := g.Freeze()
 	terms := largestComponentEnds(g)
 	order := r.Perm(g.N())
 	b.Run(fmt.Sprintf("V=%d", g.N()), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := steiner.EliminateOrdered(g, terms, order); err != nil {
+			if _, err := steiner.EliminateOrderedFrozen(context.Background(), fg, terms, order); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -197,11 +200,11 @@ func BenchmarkEliminateOrdered(b *testing.B) {
 // controls (grids), where no polynomial exact algorithm is available.
 func BenchmarkApproximate(b *testing.B) {
 	for _, side := range []int{4, 8, 12} {
-		g := gen.GridBipartite(side, side).G()
-		terms := []int{0, g.N() - 1, g.N() / 2}
+		fg := gen.GridBipartite(side, side).G().Freeze()
+		terms := []int{0, fg.N() - 1, fg.N() / 2}
 		b.Run(fmt.Sprintf("grid=%dx%d", side, side), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := steiner.Approximate(g, terms); err != nil {
+				if _, err := steiner.ApproximateFrozenShared(context.Background(), fg, terms, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -424,26 +427,18 @@ func BenchmarkClassifyMutableVsFrozen(b *testing.B) {
 	}
 }
 
-// BenchmarkSteinerMutableVsFrozen compares the per-query solver cost on the
-// two paths over one pre-compiled scheme.
-func BenchmarkSteinerMutableVsFrozen(b *testing.B) {
+// BenchmarkSteinerFrozen pins the per-query solver cost of Algorithms 1
+// and 2 over one pre-compiled scheme: the serving path's solver kernel.
+func BenchmarkSteinerFrozen(b *testing.B) {
 	for _, m := range []int{40, 160} {
 		r := rand.New(rand.NewSource(int64(m)))
 		h := gen.GammaAcyclic(r, m, 3, 3)
 		bg := bipartite.FromHypergraph(h).B
-		g := bg.G()
 		fb := bg.Freeze()
-		terms := largestComponentEnds(g)
-		b.Run(fmt.Sprintf("Algorithm2/Mutable/edges=%d", m), func(b *testing.B) {
+		terms := largestComponentEnds(bg.G())
+		b.Run(fmt.Sprintf("Algorithm2/edges=%d", m), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := steiner.Algorithm2(g, terms); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("Algorithm2/Frozen/edges=%d", m), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := steiner.Algorithm2Frozen(context.Background(), fb.G(), terms); err != nil {
+				if _, err := steiner.Algorithm2FrozenShared(context.Background(), fb.G(), terms, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -455,16 +450,9 @@ func BenchmarkSteinerMutableVsFrozen(b *testing.B) {
 		bg := bipartite.FromHypergraph(h).B
 		fb := bg.Freeze()
 		terms := largestComponentEnds(bg.G())
-		b.Run(fmt.Sprintf("Algorithm1/Mutable/edges=%d", m), func(b *testing.B) {
+		b.Run(fmt.Sprintf("Algorithm1/edges=%d", m), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := steiner.Algorithm1(bg, terms); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("Algorithm1/Frozen/edges=%d", m), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := steiner.Algorithm1Frozen(context.Background(), fb, terms); err != nil {
+				if _, err := steiner.Algorithm1FrozenShared(context.Background(), fb, terms, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -37,17 +37,21 @@
 // ErrTooManyTerminals, ErrDisconnectedTerminals, ErrNotAlphaAcyclic,
 // context.Canceled, context.DeadlineExceeded.
 //
-// Batches fan out over a bounded worker pool with an LRU answer cache
-// keyed on the canonical terminal set plus the answer-changing options:
+// Batches fan out over a bounded worker pool with an answer cache keyed on
+// the canonical terminal set plus the answer-changing options:
 //
 //	results := svc.ConnectBatch(ctx, queries)  // answers in query order
 //
-// The cache is sharded (internal/cache): N independently locked LRU
-// shards selected by a hash of the canonical key, so concurrent hits on a
-// warm cache do not serialize on one mutex. WithCacheShards tunes the
-// shard count (default GOMAXPROCS rounded up to a power of two, max 64;
-// 1 restores the v1 single-lock global-LRU semantics); Service.Stats
-// reports per-shard occupancy alongside the aggregate counters.
+// The cache (internal/cache) is split into shards selected by a hash of
+// the canonical key. A hit takes no lock: it reads an immutable index
+// that each shard republishes atomically on every write, and refreshes
+// the entry's recency with an atomic stamp. Misses and fills serialize on
+// their shard's mutex. When a shard is full, eviction weighs sampled
+// recency against the recorded cost of recomputing each entry, so an
+// expensive exact answer outlives a cheap one seen as recently.
+// WithCacheShards tunes the shard count (default GOMAXPROCS rounded up to
+// a power of two, max 64); Service.Stats reports per-shard occupancy
+// alongside the aggregate counters.
 //
 // A Registry serves many named schemes from one process, with atomic
 // compile-and-swap updates (in-flight queries finish on the old frozen
@@ -87,20 +91,33 @@
 //
 // Lower-level entry points remain for direct use: NewConnector for a
 // cache-less query answerer, Freeze/FreezeGraph to share a compiled view
-// across goroutines, Classify/ClassifyFrozen for the taxonomy alone.
+// across goroutines, Classify/ClassifyFrozen for the taxonomy alone. A
+// single Section 3 solver is one forced method away:
+//
+//	conn := chordal.NewConnector(b)
+//	answer, err := conn.Connect(ctx, terms, chordal.WithMethod(chordal.MethodAlgorithm1))
+//
+// MethodAlgorithm2 (Theorem 5), MethodAlgorithm1 (Theorems 3–4),
+// MethodExact (Dreyfus–Wagner) and MethodHeuristic (the metric-closure
+// 2-approximation) each run one solver of internal/steiner.
 //
 // Subsystem map (all within this module; see internal/README.md):
 //
 //	internal/graph       graphs, traversal, covers; Freeze → immutable CSR
-//	                     view (Frozen) safe for concurrent readers
+//	                     view (Frozen) safe for concurrent readers, with
+//	                     the word-parallel bit kernels the solvers run on
 //	internal/bipartite   (V1,V2) graphs ⇄ hypergraphs (Definition 2);
 //	                     frozen bipartite view (partition over the CSR)
+//	                     and its per-component Lemma 1 orderings
 //	internal/hypergraph  dual, primal, GYO, Berge/γ/β/α recognizers
 //	internal/chordality  (4,1)/(6,2)/(6,1)/Vi-chordality recognizers,
 //	                     mutable and frozen paths
 //	internal/steiner     Algorithms 1–2, exact and heuristic baselines,
-//	                     context-aware frozen-path ports of all solvers,
-//	                     the X3C and CSPC hardness gadgets
+//	                     all on the frozen view and context-aware, the
+//	                     ranked interpretations, the X3C and CSPC
+//	                     hardness gadgets
+//	internal/reference   brute-force oracles the solvers are tested
+//	                     against
 //	internal/core        the v2 query layer: validation, typed errors,
 //	                     options, dispatch, ranking, the cached Service,
 //	                     the multi-tenant Registry
@@ -241,15 +258,6 @@ func NewRegistry() *Registry { return core.NewRegistry() }
 // afterwards. Use Open unless the cache is unwanted.
 func NewConnector(b *Bipartite, opts ...Option) *Connector { return core.New(b, opts...) }
 
-// NewService wraps a Connector for concurrent serving with positional
-// limits.
-//
-// Deprecated: use Open(b, WithWorkers(workers), WithCacheSize(cacheSize)),
-// or core.NewService with options when the Connector is shared.
-func NewService(c *Connector, workers, cacheSize int) *Service {
-	return core.NewService(c, core.WithWorkers(workers), core.WithCacheSize(cacheSize))
-}
-
 // Freeze compiles a bipartite scheme into its immutable view, safe for
 // unsynchronized concurrent readers.
 func Freeze(b *Bipartite) *FrozenBipartite { return b.Freeze() }
@@ -297,21 +305,4 @@ func OpenSnapshot(s *Snapshot, opts ...Option) *Service { return core.OpenSnapsh
 // snapshot. Use OpenSnapshot unless the cache is unwanted.
 func ConnectorFromSnapshot(s *Snapshot, opts ...Option) *Connector {
 	return core.NewFromSnapshot(s, opts...)
-}
-
-// Algorithm1 solves pseudo-Steiner w.r.t. V2 on V1-chordal, V1-conformal
-// graphs (Theorem 3).
-func Algorithm1(b *Bipartite, terminals []int) (Tree, error) {
-	return steiner.Algorithm1(b, terminals)
-}
-
-// Algorithm2 solves the Steiner problem on (6,2)-chordal graphs
-// (Theorem 5).
-func Algorithm2(g *Graph, terminals []int) (Tree, error) {
-	return steiner.Algorithm2(g, terminals)
-}
-
-// ExactSteiner is the Dreyfus–Wagner baseline (exponential in terminals).
-func ExactSteiner(g *Graph, terminals []int) (Tree, error) {
-	return steiner.Exact(g, terminals)
 }

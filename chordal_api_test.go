@@ -39,19 +39,22 @@ func TestFacadeAlgorithms(t *testing.T) {
 	b := chordal.FromHypergraph(h)
 	g := b.G()
 	terms := []int{g.MustID("a"), g.MustID("c")}
+	conn := chordal.NewConnector(b)
+	solve := func(m chordal.Method) chordal.Tree {
+		t.Helper()
+		answer, err := conn.Connect(context.Background(), terms, chordal.WithMethod(m))
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		if answer.Method != m {
+			t.Fatalf("forced %v, answered by %v", m, answer.Method)
+		}
+		return answer.Tree
+	}
 
-	t1, err := chordal.Algorithm1(b, terms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t2, err := chordal.Algorithm2(g, terms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex, err := chordal.ExactSteiner(g, terms)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t1 := solve(chordal.MethodAlgorithm1)
+	t2 := solve(chordal.MethodAlgorithm2)
+	ex := solve(chordal.MethodExact)
 	if t2.Nodes.Len() != ex.Nodes.Len() {
 		t.Errorf("Algorithm2 %d vs exact %d", t2.Nodes.Len(), ex.Nodes.Len())
 	}

@@ -43,10 +43,12 @@ func TestRunBadFlag(t *testing.T) {
 }
 
 // timedColumns maps an experiment to the cells of its table rows that
-// report wall time: E-T2's exact and Algorithm 1 times, E-SCALE's time per
+// report wall time: E-T2's exact and Algorithm 1 times, E-T4's time per
+// Algorithm 1 run and its time per |V|·|A| unit, E-SCALE's time per
 // Classify and its growth ratio.
 var timedColumns = map[string][]int{
 	"E-T2":    {3, 4},
+	"E-T4":    {3, 4},
 	"E-SCALE": {2, 3},
 }
 

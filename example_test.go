@@ -67,21 +67,24 @@ func ExampleClassify() {
 	// (6,1)-chordal: false
 }
 
-// ExampleAlgorithm1 plans a relation-minimal connection on an α-acyclic
-// scheme: connecting a and d needs both relations.
-func ExampleAlgorithm1() {
+// ExampleConnector_forcedMethod plans a relation-minimal connection on an
+// α-acyclic scheme with Algorithm 1 forced: connecting a and d needs both
+// relations.
+func ExampleConnector_forcedMethod() {
 	h := chordal.NewHypergraph()
 	h.AddEdgeLabels("r1", "a", "b", "c")
 	h.AddEdgeLabels("r2", "c", "d")
 	b := chordal.FromHypergraph(h)
 	g := b.G()
 
-	tree, err := chordal.Algorithm1(b, g.IDs("a", "d"))
+	conn := chordal.NewConnector(b)
+	answer, err := conn.Connect(context.Background(), g.IDs("a", "d"),
+		chordal.WithMethod(chordal.MethodAlgorithm1))
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	fmt.Println("relations used:", tree.CountSide(func(v int) bool {
+	fmt.Println("relations used:", answer.Tree.CountSide(func(v int) bool {
 		_, isRel := map[string]bool{"r1": true, "r2": true}[g.Label(v)]
 		return isRel
 	}))

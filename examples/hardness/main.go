@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -21,6 +22,8 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+
 	// --- Theorem 2: the Fig 6 instance. ---
 	inst := fixtures.Fig6Instance()
 	fmt.Printf("X3C instance: |X| = %d, C = %v\n", 3*inst.Q, inst.Triples)
@@ -32,7 +35,7 @@ func main() {
 	g := red.B.G()
 	fmt.Printf("gadget: %d nodes, %d arcs; V1-chordal=%v V1-conformal=%v\n",
 		g.N(), g.M(), chordality.IsV1Chordal(red.B), chordality.IsV1Conformal(red.B))
-	tree, err := steiner.Exact(g, red.Terminals)
+	tree, err := steiner.ExactFrozenShared(ctx, g.Freeze(), red.Terminals, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,7 +58,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if t2, err := steiner.Exact(red2.B.G(), red2.Terminals); err == nil {
+	if t2, err := steiner.ExactFrozenShared(ctx, red2.B.G().Freeze(), red2.Terminals, nil); err == nil {
 		fmt.Printf("without c1 (unsolvable): optimum %d > budget %d\n\n",
 			t2.Nodes.Len(), red2.Budget)
 	} else {
@@ -71,13 +74,13 @@ func main() {
 	fmt.Printf("subdivision gadget: V1-chordal=%v V1-conformal=%v\n",
 		chordality.IsV1Chordal(cs.B), chordality.IsV1Conformal(cs.B))
 	terms := []int{cs.NodeVs[0], cs.NodeVs[ch.N()-1]}
-	direct, err := steiner.Exact(ch, []int{0, ch.N() - 1})
+	direct, err := steiner.ExactFrozenShared(ctx, ch.Freeze(), []int{0, ch.N() - 1}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("direct min-arc connection in the chordal graph: %d arcs\n",
 		direct.Nodes.Len()-1)
-	viaGadget, err := steiner.Exact(cs.B.G(), terms)
+	viaGadget, err := steiner.ExactFrozenShared(ctx, cs.B.G().Freeze(), terms, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

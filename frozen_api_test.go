@@ -9,7 +9,7 @@ import (
 )
 
 // TestFacadeFrozenService exercises the compiled-scheme serving surface of
-// the facade: Freeze, ClassifyFrozen, NewService, ConnectBatch.
+// the facade: Freeze, ClassifyFrozen, Open, ConnectBatch.
 func TestFacadeFrozenService(t *testing.T) {
 	b := chordal.NewBipartite()
 	labels := []string{"A", "B", "C", "D"}
@@ -40,7 +40,7 @@ func TestFacadeFrozenService(t *testing.T) {
 	if conn.Frozen() == nil {
 		t.Fatal("connector should expose its frozen view")
 	}
-	svc := chordal.NewService(conn, 4, 8) // deprecated shim still serves
+	svc := chordal.Open(b, chordal.WithWorkers(4), chordal.WithCacheSize(8))
 
 	queries := [][]int{
 		{v1[0], v1[3]},

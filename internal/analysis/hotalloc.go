@@ -6,8 +6,9 @@ import (
 	"strings"
 )
 
-// HotAlloc guards the zero-allocation guarantee of the solver and kernel
-// hot paths (AllocsPerRun == 0, pinned by TestAlgorithm2FrozenZeroAlloc):
+// HotAlloc guards the allocation budget of the solver and kernel hot paths
+// (a warm query allocates only its result, pinned by
+// TestAlgorithm2FrozenWarmAllocs):
 // in files annotated with a //chordal:hotpath comment it flags the three
 // ways allocations quietly reappear in review — fmt string formatting,
 // append growth on a slice declared with zero capacity in the same

@@ -169,9 +169,10 @@ func (e *lemma1Entry) build(f *Frozen, m *lemma1Memo, comp graph.Bits) {
 // have the running intersection property (failure is exactly
 // non-α-acyclicity). Greedy edge order and the check are deterministic
 // over edge indices, and the component restriction preserves relative
-// node and edge order, so the result matches steiner.Lemma1Ordering on the
-// induced subgraph mapped back to original ids. A V2 node without
-// neighbours is its own component and comes out as its one-node ordering.
+// node and edge order, so the result is the ordering built on the induced
+// subgraph of the component, mapped back to original ids. A V2 node
+// without neighbours is its own component and comes out as its one-node
+// ordering.
 func (f *Frozen) lemma1Build(comp graph.Bits) (order []int, ok bool) {
 	corr := f.HypergraphV1AliveBits(comp)
 	rip := corr.H.GreedyEdgeOrder()
@@ -213,23 +214,12 @@ func (f *Frozen) HypergraphV2() Correspondence {
 	return f.hypergraphSide(graph.Side2, nil)
 }
 
-// HypergraphV1Alive is HypergraphV1 restricted to the alive nodes: only
-// alive V1 nodes become hypergraph nodes, only alive V2 nodes with at least
-// one alive neighbour contribute edges. alive == nil means all nodes. For a
-// connected-component mask this equals Induced(component).HypergraphV1() up
-// to the id mapping, without building the induced copy.
-func (f *Frozen) HypergraphV1Alive(alive []bool) Correspondence {
-	if alive == nil {
-		return f.hypergraphSide(graph.Side1, nil)
-	}
-	return f.hypergraphSide(graph.Side1, func(v int) bool { return alive[v] })
-}
-
-// HypergraphV1AliveBits is HypergraphV1Alive over a packed graph.Bits
-// alive mask — the representation the word-parallel solver kernels
-// (internal/steiner) keep their masks in, so Algorithm 1's frozen path
-// never expands a mask back into []bool. alive == nil means all nodes.
-// Results are identical to HypergraphV1Alive on the unpacked mask.
+// HypergraphV1AliveBits is HypergraphV1 restricted to the alive nodes of
+// a packed graph.Bits mask: only alive V1 nodes become hypergraph nodes,
+// only alive V2 nodes with at least one alive neighbour contribute edges.
+// alive == nil means all nodes. For a connected-component mask this equals
+// Induced(component).HypergraphV1() up to the id mapping, without building
+// the induced copy.
 func (f *Frozen) HypergraphV1AliveBits(alive graph.Bits) Correspondence {
 	if alive == nil {
 		return f.hypergraphSide(graph.Side1, nil)

@@ -82,20 +82,15 @@ func TestFrozenHypergraphAliveMatchesInduced(t *testing.T) {
 		b := gen.RandomConnectedBipartite(r, 3+r.Intn(8), 3+r.Intn(8), 0.3)
 		f := b.Freeze()
 		// Restrict to a random connected-ish subset containing node 0.
-		alive := make([]bool, b.N())
-		for v := range alive {
-			alive[v] = r.Float64() < 0.75
-		}
-		alive[0] = true
-		var keep []int
-		for v, a := range alive {
-			if a {
-				keep = append(keep, v)
+		alive := graph.NewBits(b.N())
+		for v := 0; v < b.N(); v++ {
+			if r.Float64() < 0.75 || v == 0 {
+				alive.Set(v)
 			}
 		}
-		sub, _ := b.Induced(keep)
+		sub, _ := b.Induced(alive.AppendOnes(nil))
 		want := sub.HypergraphV1().H
-		got := f.HypergraphV1Alive(alive).H
+		got := f.HypergraphV1AliveBits(alive).H
 		if !want.Equal(got) {
 			t.Fatalf("alive-restricted H1 differs from induced H1:\n%v\n%v", want, got)
 		}

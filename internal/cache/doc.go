@@ -31,7 +31,7 @@
 //
 // with ties broken oldest-insert-first. The cost term is the point: the
 // Service records each entry's solver wall time at fill, so at equal
-// recency a multi-millisecond ExactFrozen answer outlives a microsecond
+// recency a multi-millisecond ExactFrozenShared answer outlives a microsecond
 // tree-scheme lookup by ~8 ticks per cost doubling — enough to prefer
 // re-deriving cheap answers, bounded so a cold expensive entry cannot
 // pin its slot forever. Costs under the ~0.5ms floor carry no bonus:

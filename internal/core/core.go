@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/bipartite"
 	"repro/internal/chordality"
+	"repro/internal/graph"
 	"repro/internal/intset"
 	"repro/internal/snapshot"
 	"repro/internal/steiner"
@@ -294,6 +295,12 @@ func (c *Connector) dispatch(ctx context.Context, terminals []int, q queryConfig
 			return Connection{}, err
 		}
 		conn := Connection{Tree: tree, Method: MethodAlgorithm1, V2Optimal: c.class.AlphaV1()}
+		if len(terminals) == 1 && c.fb.Side(terminals[0]) == graph.Side1 && steiner.V2CountFrozen(c.fb, tree) > 0 {
+			// A lone V1 terminal is a tree without V2 nodes, but the
+			// elimination keeps the V2 node whose removal would take the
+			// terminal with it; Theorem 3's bound does not cover that tree.
+			conn.V2Optimal = false
+		}
 		if c.class.AlphaV1() {
 			conn.Rationale = "V1-chordal, V1-conformal scheme (alpha-acyclic H¹): minimal number of relations via the Lemma 1 elimination ordering (Theorem 3); total minimality is NP-complete here (Theorem 2)"
 		} else {

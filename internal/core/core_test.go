@@ -53,6 +53,30 @@ func TestDispatchAlgorithm1(t *testing.T) {
 	}
 }
 
+// TestAlgorithm1LoneTerminalV2Flag pins the V2-optimal flag of
+// Algorithm-1 answers for one terminal: the elimination keeps a V2 node
+// next to a lone V1 terminal, so such an answer must not claim the V2
+// minimum (zero), while a lone V2 terminal's answer, with one V2 node,
+// still may.
+func TestAlgorithm1LoneTerminalV2Flag(t *testing.T) {
+	b := fixtures.Fig2() // alpha-acyclic H1 but not (6,2)-chordal
+	c := core.New(b)
+	for _, v := range []int{b.V1()[0], b.V2()[0]} {
+		conn, err := c.Connect(context.Background(), []int{v})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if conn.Method != core.MethodAlgorithm1 {
+			t.Fatalf("dispatch = %v", conn.Method)
+		}
+		want := reference.MinimumV2Count(b, []int{v})
+		if got := steiner.V2Count(b, conn.Tree); conn.V2Optimal != (got == want) {
+			t.Errorf("terminal %s: %d V2 nodes, minimum %d, flagged V2-optimal %v",
+				b.G().Label(v), got, want, conn.V2Optimal)
+		}
+	}
+}
+
 func TestDispatchExactAndHeuristic(t *testing.T) {
 	b := gen.GridBipartite(3, 4) // no chordality guarantees
 	c := core.New(b)
@@ -253,7 +277,9 @@ func TestForcedAlgorithm1PerComponent(t *testing.T) {
 	}
 	alphaTerms := []int{grid.N() + comp[0], grid.N() + comp[len(comp)-1]}
 	force := core.WithMethod(core.MethodAlgorithm1)
-	want, err := steiner.Algorithm1(b, alphaTerms)
+	// The answer of a freshly frozen scheme, whose memo this query alone
+	// builds.
+	want, err := steiner.Algorithm1FrozenShared(ctx, b.Freeze(), alphaTerms, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

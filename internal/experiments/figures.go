@@ -240,6 +240,7 @@ func EFig11(ctx context.Context) Table {
 		t.Rows = append(t.Rows, []string{"precondition", "(6,1)-chordal", "-", "-", "FAIL"})
 		return t
 	}
+	fg := g.Freeze()
 	for _, tc := range fixtures.Fig11Cases() {
 		lead := g.MustID(tc.Lead)
 		terms := g.IDs(tc.Terminals...)
@@ -256,7 +257,7 @@ func EFig11(ctx context.Context) Table {
 					order = append(order, v)
 				}
 			}
-			tree, err := steiner.EliminateOrdered(g, terms, order)
+			tree, err := steiner.EliminateOrderedFrozen(ctx, fg, terms, order)
 			if err != nil {
 				allMiss = false
 				break

@@ -173,15 +173,16 @@ func ETheorem2(ctx context.Context) Table {
 			continue
 		}
 		g := red.B.G()
+		fb := red.B.Freeze()
 		start := time.Now()
-		tree, err := steiner.Exact(g, red.Terminals)
+		tree, err := steiner.ExactFrozenShared(ctx, fb.G(), red.Terminals, nil)
 		exactTime := time.Since(start)
 		if err != nil {
 			t.Rows = append(t.Rows, []string{itoa(q), "-", "-", err.Error(), "-", "FAIL"})
 			continue
 		}
 		start = time.Now()
-		_, err1 := steiner.Algorithm1(red.B, red.Terminals)
+		_, err1 := steiner.Algorithm1FrozenShared(ctx, fb, red.Terminals, nil)
 		a1Time := time.Since(start)
 		ok := err1 == nil && tree.Nodes.Len() <= red.Budget
 		t.Rows = append(t.Rows, []string{
@@ -219,7 +220,7 @@ func ETheorem3(ctx context.Context) Table {
 			}
 			total++
 			terms := r.Perm(g.N())[:2+r.Intn(2)]
-			tree, err := steiner.Algorithm1(b, terms)
+			tree, err := steiner.Algorithm1FrozenShared(ctx, b.Freeze(), terms, nil)
 			if err != nil {
 				continue
 			}
@@ -235,39 +236,60 @@ func ETheorem3(ctx context.Context) Table {
 	return t
 }
 
-// ETheorem4 measures Algorithm 1 scaling: wall time against |V|·|A|,
-// reporting the normalized ratio which should stay roughly flat
-// (polynomial, near O(|V|·|A|)).
+// ETheorem4 measures Algorithm 1 scaling: wall time against |V|·|A| of
+// the component it runs on, reporting the normalized ratio, which should
+// stay roughly flat (polynomial, near O(|V|·|A|)). The generator may
+// produce several components, so the terminals are the two ends of the
+// largest one. Each run gets a freshly frozen scheme (frozen outside the
+// timer), so the time includes building the component's Lemma 1 ordering
+// — the step Theorem 4 is about — and not just a warm elimination pass.
 func ETheorem4(ctx context.Context) Table {
 	t := Table{
 		ID:     "E-T4",
-		Title:  "Theorem 4: Algorithm 1 scaling (time per |V|·|A| unit)",
-		Header: []string{"edges", "|V|", "|A|", "time", "ns/(V*A)"},
+		Title:  "Theorem 4: Algorithm 1 scaling (time per |V|·|A| unit of the largest component)",
+		Header: []string{"edges", "|V|", "|A|", "time", "ns/(V*A)", "verdict"},
 	}
 	r := rand.New(rand.NewSource(6))
 	for _, m := range []int{20, 40, 80, 160} {
 		h := gen.AlphaAcyclic(r, m, 4, 3)
 		b := bipartite.FromHypergraph(h).B
 		g := b.G()
-		terms := []int{0, g.N() - 1}
-		// Average a few runs.
-		const runs = 5
-		start := time.Now()
-		for i := 0; i < runs; i++ {
-			if _, err := steiner.Algorithm1(b, terms); err != nil {
-				t.Rows = append(t.Rows, []string{itoa(m), "-", "-", err.Error(), "-"})
-				return t
+		var comp []int
+		for _, c := range g.Components() {
+			if len(c) > len(comp) {
+				comp = c
 			}
 		}
-		el := time.Since(start) / runs
-		ratio := float64(el.Nanoseconds()) / float64(g.N()*g.M())
+		arcs := 0
+		for _, v := range comp {
+			arcs += g.Degree(v)
+		}
+		arcs /= 2
+		terms := []int{comp[0], comp[len(comp)-1]}
+		// Average a few runs.
+		const runs = 5
+		var el time.Duration
+		var err error
+		for i := 0; i < runs && err == nil; i++ {
+			fb := b.Freeze()
+			start := time.Now()
+			_, err = steiner.Algorithm1FrozenShared(ctx, fb, terms, nil)
+			el += time.Since(start)
+		}
+		if err != nil {
+			t.Rows = append(t.Rows, []string{itoa(m), itoa(len(comp)), itoa(arcs), err.Error(), "-", "FAIL"})
+			continue
+		}
+		el /= runs
+		ratio := float64(el.Nanoseconds()) / float64(len(comp)*arcs)
 		t.Rows = append(t.Rows, []string{
-			itoa(m), itoa(g.N()), itoa(g.M()),
+			itoa(m), itoa(len(comp)), itoa(arcs),
 			el.Round(time.Microsecond).String(),
 			fmt.Sprintf("%.1f", ratio),
+			verdict(true),
 		})
 	}
-	t.Notes = append(t.Notes, "absolute times are machine-local; the ratio column growing slowly (not exponentially) is the claim under test. See also BenchmarkAlgorithm1.")
+	t.Notes = append(t.Notes, "|V| and |A| count the largest component, which holds both terminals; absolute times are machine-local; the ratio column growing slowly (not exponentially) is the claim under test, so the verdict fails only on a solver error. See also BenchmarkAlgorithm1.")
 	return t
 }
 
@@ -292,11 +314,12 @@ func ETheorem5(ctx context.Context) Table {
 			}
 			total++
 			terms := r.Perm(g.N())[:2+r.Intn(2)]
-			tree, err := steiner.Algorithm2(g, terms)
+			fg := g.Freeze()
+			tree, err := steiner.Algorithm2FrozenShared(ctx, fg, terms, nil)
 			if err != nil {
 				continue
 			}
-			if tree.Nodes.Len() == steiner.ExactCost(g, terms) {
+			if exact, err := steiner.ExactFrozenShared(ctx, fg, terms, nil); err == nil && tree.Nodes.Len() == exact.Nodes.Len() {
 				optimal++
 			}
 		}
@@ -329,9 +352,10 @@ func ECorollary5(ctx context.Context) Table {
 		total++
 		terms := r.Perm(g.N())[:2]
 		want := reference.SteinerMinimumNodes(g, terms)
+		fg := g.Freeze()
 		all := true
 		for k := 0; k < orderings; k++ {
-			tree, err := steiner.EliminateOrdered(g, terms, r.Perm(g.N()))
+			tree, err := steiner.EliminateOrderedFrozen(ctx, fg, terms, r.Perm(g.N()))
 			if err != nil || tree.Nodes.Len() != want {
 				all = false
 			}

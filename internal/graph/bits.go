@@ -4,10 +4,9 @@ import "math/bits"
 
 // Bits is a packed per-node bitmask: bit v of word v/64 is node v. It is
 // the mask representation of the word-parallel traversal kernels
-// (frozen_bits.go): where the mutable path keeps []bool alive/visited
-// arrays, the frozen hot paths keep Bits so set algebra (frontier
-// expansion, alive restriction, terminal covering) runs 64 nodes per
-// machine word.
+// (frozen_bits.go): the solvers keep their alive/visited sets as Bits so
+// set algebra (frontier expansion, alive restriction, terminal covering)
+// runs 64 nodes per machine word.
 //
 // Padding bits — positions ≥ n in the last word — must stay zero. Every
 // constructor and mutator here maintains that invariant; code that
@@ -138,31 +137,6 @@ func (b Bits) AppendOnes(dst []int) []int {
 		for w != 0 {
 			dst = append(dst, base+bits.TrailingZeros64(w))
 			w &= w - 1
-		}
-	}
-	return dst
-}
-
-// ToBools expands b into dst (dst[v] = bit v for v < len(dst)).
-func (b Bits) ToBools(dst []bool) []bool {
-	for v := range dst {
-		dst[v] = b.Has(v)
-	}
-	return dst
-}
-
-// BitsFromBools packs alive into dst (grown as needed). A nil alive means
-// "all n alive": every bit 0..n-1 is set.
-func BitsFromBools(alive []bool, n int, dst Bits) Bits {
-	dst = dst.Grow(n)
-	if alive == nil {
-		dst.FillN(n)
-		return dst
-	}
-	dst.Reset()
-	for v, ok := range alive {
-		if ok {
-			dst.Set(v)
 		}
 	}
 	return dst

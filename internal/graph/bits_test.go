@@ -50,33 +50,6 @@ func TestBitsOps(t *testing.T) {
 	}
 }
 
-func TestBitsFromBools(t *testing.T) {
-	r := rand.New(rand.NewSource(71))
-	for _, n := range wordBoundarySizes {
-		alive := make([]bool, n)
-		for i := range alive {
-			alive[i] = r.Intn(2) == 0
-		}
-		b := BitsFromBools(alive, n, nil)
-		for v := 0; v < n; v++ {
-			if b.Has(v) != alive[v] {
-				t.Fatalf("n=%d: bit %d = %v, want %v", n, v, b.Has(v), alive[v])
-			}
-		}
-		back := b.ToBools(make([]bool, n))
-		for v := range back {
-			if back[v] != alive[v] {
-				t.Fatalf("n=%d: round trip differs at %d", n, v)
-			}
-		}
-		// nil means all alive, padding clear.
-		all := BitsFromBools(nil, n, b)
-		if all.Count() != n {
-			t.Fatalf("n=%d: nil alive count = %d", n, all.Count())
-		}
-	}
-}
-
 // csrView strips the matrix off a frozen view so the same kernel call
 // exercises the CSR fallback path.
 func csrView(t testing.TB, f *Frozen) *Frozen {
@@ -87,6 +60,20 @@ func csrView(t testing.TB, f *Frozen) *Frozen {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// packAlive packs an alive mask into Bits; nil (all alive) stays nil.
+func packAlive(alive []bool) Bits {
+	if alive == nil {
+		return nil
+	}
+	b := NewBits(len(alive))
+	for v, ok := range alive {
+		if ok {
+			b.Set(v)
+		}
+	}
+	return b
 }
 
 // randomAlive returns a random alive mask over n nodes that always keeps
@@ -106,8 +93,8 @@ func randomAlive(r *rand.Rand, n, start int) []bool {
 // TestBitKernelsMatchCSRAtWordBoundaries sweeps the word-boundary sizes
 // and random alive masks (including masks whose last word is partially
 // filled — every non-multiple-of-64 size has one) asserting the matrix
-// kernels, the CSR fallbacks, and the reference []bool walks agree bit for
-// bit.
+// kernels, the CSR fallbacks, and the mutable graph's []bool walks agree
+// bit for bit.
 func TestBitKernelsMatchCSRAtWordBoundaries(t *testing.T) {
 	r := rand.New(rand.NewSource(73))
 	for _, n := range wordBoundarySizes {
@@ -122,18 +109,15 @@ func TestBitKernelsMatchCSRAtWordBoundaries(t *testing.T) {
 			for probe := 0; probe < 6; probe++ {
 				start := r.Intn(n)
 				alive := randomAlive(r, n, start)
-				aliveBits := Bits(nil)
-				if alive != nil {
-					aliveBits = BitsFromBools(alive, n, nil)
-				}
+				aliveBits := packAlive(alive)
 
-				want := fm.BFSDistancesAlive(start, alive) // reference CSR walk
+				want := g.BFSDistancesAlive(start, alive) // reference walk
 				distM := make([]int32, n)
 				distC := make([]int32, n)
 				fm.BFSDistancesBits(start, aliveBits, distM, scm)
 				fc.BFSDistancesBits(start, aliveBits, distC, scc)
 				for v := 0; v < n; v++ {
-					if distM[v] != want[v] || distC[v] != want[v] {
+					if int(distM[v]) != want[v] || int(distC[v]) != want[v] {
 						t.Fatalf("n=%d start=%d: dist[%d] matrix=%d csr=%d want=%d",
 							n, start, v, distM[v], distC[v], want[v])
 					}
@@ -174,24 +158,28 @@ func TestBitKernelsMatchCSRAtWordBoundaries(t *testing.T) {
 				}
 			}
 
-			// ComponentBits vs ComponentMask on random seed sets.
+			// ComponentBits vs ComponentContaining on random seed sets.
 			for probe := 0; probe < 4; probe++ {
 				k := 1 + r.Intn(3)
 				seeds := make([]int, k)
 				for i := range seeds {
 					seeds[i] = r.Intn(n)
 				}
-				want := fm.ComponentMask(seeds)
+				comp := g.ComponentContaining(seeds)
 				gotM, okM := fm.ComponentBits(seeds, scm)
 				gotC, okC := fc.ComponentBits(seeds, scc)
-				if (want == nil) != !okM || (want == nil) != !okC {
-					t.Fatalf("n=%d seeds=%v: nil-ness disagrees (mask=%v okM=%v okC=%v)", n, seeds, want == nil, okM, okC)
+				if (comp == nil) != !okM || (comp == nil) != !okC {
+					t.Fatalf("n=%d seeds=%v: nil-ness disagrees (comp=%v okM=%v okC=%v)", n, seeds, comp == nil, okM, okC)
 				}
-				if want == nil {
+				if comp == nil {
 					continue
 				}
+				want := NewBits(n)
+				for _, v := range comp {
+					want.Set(v)
+				}
 				for v := 0; v < n; v++ {
-					if gotM.Has(v) != want[v] || gotC.Has(v) != want[v] {
+					if gotM.Has(v) != want.Has(v) || gotC.Has(v) != want.Has(v) {
 						t.Fatalf("n=%d seeds=%v: component bit %d disagrees", n, seeds, v)
 					}
 				}

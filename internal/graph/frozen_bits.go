@@ -248,8 +248,8 @@ func (f *Frozen) bfsDistCSR(start int, alive Bits, dist []int32, visited Bits, s
 // ComponentBits computes the mask of the connected component containing
 // every seed into sc.Visited, returning (mask, true); when the seeds span
 // several components (or seeds is empty) it returns (nil, false). The mask
-// aliases the scratch. This is ComponentMask word-parallel: the flood runs
-// on the matrix kernel when compiled.
+// aliases the scratch. The flood runs on the matrix kernel when compiled,
+// on the CSR walk otherwise.
 func (f *Frozen) ComponentBits(seeds []int, sc *BitScratch) (Bits, bool) {
 	if len(seeds) == 0 {
 		return nil, false

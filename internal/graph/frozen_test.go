@@ -132,11 +132,15 @@ func TestFreezeIsSnapshot(t *testing.T) {
 	}
 }
 
+// TestFrozenTraversalMatchesMutable holds the frozen view's traversal —
+// the bit-kernel probes the solvers build their cover tests from, and the
+// CSR walks of frozen_traverse.go — to the mutable graph's []bool walks.
 func TestFrozenTraversalMatchesMutable(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 15; trial++ {
 		g := randomGraph(r, 4+r.Intn(40), 0.12)
 		f := g.Freeze()
+		sc := NewBitScratch(g.N())
 
 		alive := make([]bool, g.N())
 		for v := range alive {
@@ -144,9 +148,11 @@ func TestFrozenTraversalMatchesMutable(t *testing.T) {
 		}
 		start := r.Intn(g.N())
 		alive[start] = true
+		aliveBits := packAlive(alive)
 
 		wantDist := g.BFSDistancesAlive(start, alive)
-		gotDist := f.BFSDistancesAlive(start, alive)
+		gotDist := make([]int32, g.N())
+		f.BFSDistancesBits(start, aliveBits, gotDist, sc)
 		for v := range wantDist {
 			if int(gotDist[v]) != wantDist[v] {
 				t.Fatalf("BFS dist to %d: frozen %d, mutable %d", v, gotDist[v], wantDist[v])
@@ -160,11 +166,19 @@ func TestFrozenTraversalMatchesMutable(t *testing.T) {
 			}
 		}
 		terms = append(terms, start)
-		if got, want := f.TerminalsConnected(alive, terms), g.TerminalsConnected(alive, terms); got != want {
-			t.Fatalf("TerminalsConnected: frozen %v, mutable %v", got, want)
+		term := NewBits(g.N())
+		for _, p := range terms {
+			term.Set(p)
 		}
-		if got, want := f.Covers(alive, terms), g.Covers(alive, terms); got != want {
-			t.Fatalf("Covers: frozen %v, mutable %v", got, want)
+		// The solvers' cover tests: terminals mutually connected in the
+		// alive subgraph, and Definition 10's whole-subgraph cover.
+		connected := term.SubsetOf(aliveBits) && f.ReachesAll(terms[0], aliveBits, term, sc)
+		if want := g.TerminalsConnected(alive, terms); connected != want {
+			t.Fatalf("TerminalsConnected: frozen %v, mutable %v", connected, want)
+		}
+		covers := term.SubsetOf(aliveBits) && aliveBits.SubsetOf(f.Reachable(terms[0], aliveBits, sc))
+		if want := g.Covers(alive, terms); covers != want {
+			t.Fatalf("Covers: frozen %v, mutable %v", covers, want)
 		}
 
 		if got, want := f.ComponentCount(), len(g.Components()); got != want {
@@ -174,44 +188,28 @@ func TestFrozenTraversalMatchesMutable(t *testing.T) {
 			t.Fatalf("IsForest: frozen %v, mutable %v", got, want)
 		}
 
-		mask := f.ComponentMask(terms)
+		mask, ok := f.ComponentBits(terms, sc)
 		comp := g.ComponentContaining(terms)
-		if (mask == nil) != (comp == nil) {
-			t.Fatalf("ComponentMask nil-ness disagrees with ComponentContaining")
+		if ok != (comp != nil) {
+			t.Fatalf("ComponentBits ok=%v disagrees with ComponentContaining", ok)
 		}
-		if mask != nil {
-			inComp := make([]bool, g.N())
-			for _, v := range comp {
-				inComp[v] = true
-			}
-			for v := range mask {
-				if mask[v] != inComp[v] {
-					t.Fatalf("ComponentMask[%d] = %v, want %v", v, mask[v], inComp[v])
-				}
-			}
+		if ok && mask.Count() != len(comp) {
+			t.Fatalf("ComponentBits has %d nodes, ComponentContaining %d", mask.Count(), len(comp))
 		}
-
-		fe, fok := f.SpanningTreeAlive(alive)
-		ge, gok := g.SpanningTreeAlive(alive)
-		if fok != gok || len(fe) != len(ge) {
-			t.Fatalf("SpanningTreeAlive: frozen (%d,%v), mutable (%d,%v)", len(fe), fok, len(ge), gok)
-		}
-		for i := range fe {
-			if fe[i] != ge[i] {
-				t.Fatalf("spanning tree edge %d: frozen %v, mutable %v", i, fe[i], ge[i])
+		for _, v := range comp {
+			if !mask.Has(v) {
+				t.Fatalf("ComponentBits misses %d", v)
 			}
 		}
 
 		u, v := r.Intn(g.N()), r.Intn(g.N())
-		fp := f.ShortestPath(u, v)
-		gp := g.ShortestPath(u, v)
-		if len(fp) != len(gp) {
-			t.Fatalf("ShortestPath(%d,%d) length: frozen %d, mutable %d", u, v, len(fp), len(gp))
-		}
-		for i := range fp {
-			if fp[i] != gp[i] {
-				t.Fatalf("ShortestPath(%d,%d)[%d]: frozen %d, mutable %d", u, v, i, fp[i], gp[i])
+		p := f.ShortestPath(u, v)
+		if d := g.Distance(u, v); d == -1 {
+			if p != nil {
+				t.Fatalf("ShortestPath(%d,%d) = %v between components", u, v, p)
 			}
+		} else if len(p) != d+1 || p[0] != u || p[len(p)-1] != v || !g.IsPath(p) {
+			t.Fatalf("ShortestPath(%d,%d) = %v, distance %d", u, v, p, d)
 		}
 	}
 }

@@ -1,152 +1,10 @@
 package graph
 
-// Traversal over the frozen CSR view. These mirror the mutable Graph
-// traversal API (traverse.go) but iterate flat int32 slices, allocate only
-// their result arrays, and are safe for unsynchronized concurrent use —
-// they never write to the Frozen.
-
-// BFSDistances returns the unweighted distance from start to every node,
-// with -1 for unreachable nodes. On matrix-backed schemes it runs the
-// word-parallel wave kernel (BFSDistancesBits); otherwise the CSR walk.
-func (f *Frozen) BFSDistances(start int) []int32 {
-	if f.matrix != nil {
-		dist := make([]int32, f.N())
-		f.BFSDistancesBits(start, nil, dist, NewBitScratch(f.N()))
-		return dist
-	}
-	return f.BFSDistancesAlive(start, nil)
-}
-
-// BFSDistancesAlive is BFSDistances restricted to nodes v with alive[v]
-// (alive == nil means all nodes are alive). start must be alive.
-func (f *Frozen) BFSDistancesAlive(start int, alive []bool) []int32 {
-	f.check(start)
-	dist := make([]int32, f.N())
-	for i := range dist {
-		dist[i] = -1
-	}
-	if alive != nil && !alive[start] {
-		return dist
-	}
-	dist[start] = 0
-	queue := make([]int32, 1, f.N())
-	queue[0] = int32(start)
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range f.neighbors[f.offsets[v]:f.offsets[v+1]] {
-			if alive != nil && !alive[w] {
-				continue
-			}
-			if dist[w] == -1 {
-				dist[w] = dist[v] + 1
-				queue = append(queue, w)
-			}
-		}
-	}
-	return dist
-}
-
-// TerminalsConnected reports whether every terminal is alive and all
-// terminals lie in one connected component of the alive subgraph. The BFS
-// stops as soon as every terminal has been reached.
-func (f *Frozen) TerminalsConnected(alive []bool, terminals []int) bool {
-	if len(terminals) == 0 {
-		return true
-	}
-	for _, p := range terminals {
-		f.check(p)
-		if alive != nil && !alive[p] {
-			return false
-		}
-	}
-	n := f.N()
-	isTerm := make([]bool, n)
-	remaining := 0
-	for _, p := range terminals {
-		if !isTerm[p] {
-			isTerm[p] = true
-			remaining++
-		}
-	}
-	visited := make([]bool, n)
-	start := terminals[0]
-	visited[start] = true
-	remaining--
-	queue := make([]int32, 1, 64)
-	queue[0] = int32(start)
-	for len(queue) > 0 && remaining > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range f.neighbors[f.offsets[v]:f.offsets[v+1]] {
-			if visited[w] || (alive != nil && !alive[w]) {
-				continue
-			}
-			visited[w] = true
-			if isTerm[w] {
-				remaining--
-			}
-			queue = append(queue, w)
-		}
-	}
-	return remaining == 0
-}
-
-// ComponentMask returns the alive mask of the connected component
-// containing every seed, or nil when the seeds span several components (or
-// seeds is empty). On matrix-backed schemes the flood runs word-parallel
-// (ComponentBits); otherwise it falls back to a CSR BFS.
-func (f *Frozen) ComponentMask(seeds []int) []bool {
-	if len(seeds) == 0 {
-		return nil
-	}
-	if f.matrix != nil {
-		mask, ok := f.ComponentBits(seeds, NewBitScratch(f.N()))
-		if !ok {
-			return nil
-		}
-		return mask.ToBools(make([]bool, f.N()))
-	}
-	dist := f.BFSDistances(seeds[0])
-	for _, s := range seeds {
-		if dist[s] == -1 {
-			return nil
-		}
-	}
-	mask := make([]bool, f.N())
-	for v, d := range dist {
-		if d >= 0 {
-			mask[v] = true
-		}
-	}
-	return mask
-}
-
-// Covers reports whether the subgraph induced by the alive nodes is a cover
-// of the terminal set per Definition 10: connected and containing every
-// terminal. alive == nil means the whole graph.
-func (f *Frozen) Covers(alive []bool, terminals []int) bool {
-	if len(terminals) == 0 {
-		return true
-	}
-	for _, p := range terminals {
-		f.check(p)
-		if alive != nil && !alive[p] {
-			return false
-		}
-	}
-	dist := f.BFSDistancesAlive(terminals[0], alive)
-	n := 0
-	for v := 0; v < f.N(); v++ {
-		if alive == nil || alive[v] {
-			n++
-			if dist[v] == -1 {
-				return false
-			}
-		}
-	}
-	return n > 0
-}
+// Traversal over the frozen CSR view that the bit kernels (frozen_bits.go)
+// do not cover: component counting, the forest test, and shortest paths.
+// They iterate flat int32 slices, allocate only their working arrays, and
+// are safe for unsynchronized concurrent use — they never write to the
+// Frozen.
 
 // ComponentCount returns the number of connected components.
 func (f *Frozen) ComponentCount() int {
@@ -179,65 +37,13 @@ func (f *Frozen) IsForest() bool {
 	return f.m == f.N()-f.ComponentCount()
 }
 
-// SpanningTreeAlive returns the edges of a BFS spanning tree of the
-// subgraph induced by the alive nodes, rooted at the smallest alive node.
-// It returns ok=false if that subgraph is not connected. alive == nil means
-// the whole graph.
-func (f *Frozen) SpanningTreeAlive(alive []bool) (edges []Edge, ok bool) {
-	start := -1
-	n := 0
-	for v := 0; v < f.N(); v++ {
-		if alive == nil || alive[v] {
-			n++
-			if start == -1 {
-				start = v
-			}
-		}
-	}
-	if n == 0 {
-		return nil, true
-	}
-	seen := make([]bool, f.N())
-	seen[start] = true
-	queue := make([]int32, 1, n)
-	queue[0] = int32(start)
-	visited := 1
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range f.neighbors[f.offsets[v]:f.offsets[v+1]] {
-			if seen[w] || (alive != nil && !alive[w]) {
-				continue
-			}
-			seen[w] = true
-			visited++
-			e := Edge{int(v), int(w)}
-			if e.V < e.U {
-				e.U, e.V = e.V, e.U
-			}
-			edges = append(edges, e)
-			queue = append(queue, w)
-		}
-	}
-	if visited != n {
-		return nil, false
-	}
-	return edges, true
-}
-
 // ShortestPath returns a shortest path from u to v as a node sequence
-// (inclusive of both endpoints), or nil if v is unreachable from u.
+// (inclusive of both endpoints), or nil if v is unreachable from u. The
+// BFS visits neighbors in CSR order, so ties between equally short paths
+// break the same way on every call.
 func (f *Frozen) ShortestPath(u, v int) []int {
-	return f.ShortestPathAlive(u, v, nil)
-}
-
-// ShortestPathAlive is ShortestPath restricted to alive nodes.
-func (f *Frozen) ShortestPathAlive(u, v int, alive []bool) []int {
 	f.check(u)
 	f.check(v)
-	if alive != nil && (!alive[u] || !alive[v]) {
-		return nil
-	}
 	if u == v {
 		return []int{u}
 	}
@@ -252,7 +58,7 @@ func (f *Frozen) ShortestPathAlive(u, v int, alive []bool) []int {
 		x := queue[0]
 		queue = queue[1:]
 		for _, w := range f.neighbors[f.offsets[x]:f.offsets[x+1]] {
-			if prev[w] != -1 || (alive != nil && !alive[w]) {
+			if prev[w] != -1 {
 				continue
 			}
 			prev[w] = x

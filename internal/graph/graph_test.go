@@ -159,8 +159,8 @@ func TestComponentsAndConnectivity(t *testing.T) {
 		t.Error("disconnected graph reported connected")
 	}
 	alive := []bool{true, true, false}
-	if !g.ConnectedAlive(alive) {
-		t.Error("alive subgraph should be connected")
+	if got := g.ComponentsAlive(alive); len(got) != 1 {
+		t.Errorf("alive subgraph should be connected, components %v", got)
 	}
 }
 
@@ -189,35 +189,20 @@ func TestCovers(t *testing.T) {
 	}
 }
 
-func TestSpanningTree(t *testing.T) {
-	g := cycle("a", "b", "c", "d")
-	edges, ok := g.SpanningTreeAlive(nil)
-	if !ok || len(edges) != 3 {
-		t.Fatalf("spanning tree edges = %v ok=%v", edges, ok)
-	}
-	g.AddNode("iso")
-	if _, ok := g.SpanningTreeAlive(nil); ok {
-		t.Error("spanning tree of disconnected graph should fail")
-	}
-	alive := []bool{true, true, true, true, false}
-	if _, ok := g.SpanningTreeAlive(alive); !ok {
-		t.Error("spanning tree of alive subgraph should succeed")
-	}
-}
-
 func TestIsForestAndTreeOver(t *testing.T) {
 	g := path("a", "b", "c")
 	if !g.IsForest() {
 		t.Error("path not recognized as forest")
 	}
-	if !g.IsTreeOver(nil, []int{0, 2}) {
+	// A tree over the terminals is a connected forest covering them.
+	if !g.Covers(nil, []int{0, 2}) || !g.IsForest() {
 		t.Error("path is a tree over endpoints")
 	}
 	c := cycle("a", "b", "c", "d")
 	if c.IsForest() {
 		t.Error("cycle recognized as forest")
 	}
-	if c.IsTreeOver(nil, []int{0}) {
+	if c.Covers(nil, []int{0}) && c.IsForest() {
 		t.Error("cycle is not a tree")
 	}
 }
@@ -256,7 +241,8 @@ func TestBipartition(t *testing.T) {
 
 func TestShortestPath(t *testing.T) {
 	g := cycle("a", "b", "c", "d", "e", "f")
-	p := g.ShortestPath(0, 3)
+	f := g.Freeze()
+	p := f.ShortestPath(0, 3)
 	if len(p) != 4 {
 		t.Errorf("path = %v", p)
 	}
@@ -266,21 +252,12 @@ func TestShortestPath(t *testing.T) {
 	if !g.IsPath(p) {
 		t.Errorf("%v is not a path", p)
 	}
-	if got := g.ShortestPath(2, 2); len(got) != 1 {
+	if got := f.ShortestPath(2, 2); len(got) != 1 {
 		t.Errorf("trivial path = %v", got)
 	}
 	g.AddNode("iso")
-	if g.ShortestPath(0, 6) != nil {
+	if g.Freeze().ShortestPath(0, 6) != nil {
 		t.Error("path to isolated node should be nil")
-	}
-	alive := make([]bool, g.N())
-	for i := range alive {
-		alive[i] = true
-	}
-	alive[1] = false
-	alive[5] = false
-	if g.ShortestPathAlive(0, 3, alive) != nil {
-		t.Error("blocked path should be nil")
 	}
 }
 
@@ -356,16 +333,9 @@ func TestRandomInvariants(t *testing.T) {
 		if total != g.N() {
 			t.Fatalf("components do not partition nodes")
 		}
-		// Spanning tree of each component has |C|-1 edges.
-		if g.IsConnected() {
-			edges, ok := g.SpanningTreeAlive(nil)
-			if !ok || len(edges) != g.N()-1 {
-				t.Fatalf("spanning tree wrong: %v", edges)
-			}
-		}
 		// Shortest path length agrees with BFS distance.
 		u, v := r.Intn(g.N()), r.Intn(g.N())
-		p := g.ShortestPath(u, v)
+		p := g.Freeze().ShortestPath(u, v)
 		d := g.Distance(u, v)
 		if d == -1 {
 			if p != nil {

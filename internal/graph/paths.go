@@ -1,52 +1,5 @@
 package graph
 
-// ShortestPath returns a shortest path from u to v as a node sequence
-// (inclusive of both endpoints), or nil if v is unreachable from u.
-func (g *Graph) ShortestPath(u, v int) []int {
-	return g.ShortestPathAlive(u, v, nil)
-}
-
-// ShortestPathAlive is ShortestPath restricted to alive nodes.
-func (g *Graph) ShortestPathAlive(u, v int, alive []bool) []int {
-	g.check(u)
-	g.check(v)
-	if alive != nil && (!alive[u] || !alive[v]) {
-		return nil
-	}
-	if u == v {
-		return []int{u}
-	}
-	prev := make([]int, g.N())
-	for i := range prev {
-		prev[i] = -1
-	}
-	prev[u] = u
-	queue := []int{u}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		for _, w := range g.adj[x] {
-			if prev[w] != -1 || (alive != nil && !alive[w]) {
-				continue
-			}
-			prev[w] = x
-			if w == v {
-				var rev []int
-				for c := v; c != u; c = prev[c] {
-					rev = append(rev, c)
-				}
-				rev = append(rev, u)
-				for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-					rev[i], rev[j] = rev[j], rev[i]
-				}
-				return rev
-			}
-			queue = append(queue, w)
-		}
-	}
-	return nil
-}
-
 // Distance returns the unweighted distance between u and v, or -1 if
 // disconnected.
 func (g *Graph) Distance(u, v int) int {

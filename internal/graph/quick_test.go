@@ -75,22 +75,6 @@ func TestQuickBipartitionValid(t *testing.T) {
 	}
 }
 
-func TestQuickSpanningTreeSize(t *testing.T) {
-	err := quick.Check(func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		g := quickGraph(r)
-		comps := g.Components()
-		edges, ok := g.SpanningTreeAlive(nil)
-		if len(comps) > 1 {
-			return !ok
-		}
-		return ok && len(edges) == g.N()-1
-	}, &quick.Config{MaxCount: 300})
-	if err != nil {
-		t.Error(err)
-	}
-}
-
 func TestQuickDistanceTriangleInequality(t *testing.T) {
 	err := quick.Check(func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

@@ -78,12 +78,6 @@ func (g *Graph) IsConnected() bool {
 	return len(g.Components()) <= 1
 }
 
-// ConnectedAlive reports whether the subgraph induced by the alive nodes is
-// connected (an empty alive set counts as connected).
-func (g *Graph) ConnectedAlive(alive []bool) bool {
-	return len(g.ComponentsAlive(alive)) <= 1
-}
-
 // Covers reports whether the subgraph induced by the alive nodes is a cover
 // of the terminal set P per Definition 10: connected and containing every
 // terminal. alive == nil means the whole graph.
@@ -162,73 +156,8 @@ func (g *Graph) ComponentContaining(seeds []int) []int {
 	return comp
 }
 
-// SpanningTreeAlive returns the edges of a BFS spanning tree of the
-// subgraph induced by the alive nodes. It returns ok=false if that
-// subgraph is not connected. alive == nil means the whole graph.
-func (g *Graph) SpanningTreeAlive(alive []bool) (edges []Edge, ok bool) {
-	start := -1
-	n := 0
-	for v := 0; v < g.N(); v++ {
-		if alive == nil || alive[v] {
-			n++
-			if start == -1 {
-				start = v
-			}
-		}
-	}
-	if n == 0 {
-		return nil, true
-	}
-	seen := make([]bool, g.N())
-	seen[start] = true
-	queue := []int{start}
-	visited := 1
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range g.adj[v] {
-			if seen[w] || (alive != nil && !alive[w]) {
-				continue
-			}
-			seen[w] = true
-			visited++
-			e := Edge{v, w}
-			if w < v {
-				e = Edge{w, v}
-			}
-			edges = append(edges, e)
-			queue = append(queue, w)
-		}
-	}
-	if visited != n {
-		return nil, false
-	}
-	return edges, true
-}
-
 // IsForest reports whether g has no cycles.
 func (g *Graph) IsForest() bool {
 	// A graph is a forest iff m = n − (number of components).
 	return g.M() == g.N()-len(g.Components())
-}
-
-// IsTreeOver reports whether the subgraph induced by the alive nodes is a
-// tree containing every terminal.
-func (g *Graph) IsTreeOver(alive []bool, terminals []int) bool {
-	if !g.Covers(alive, terminals) {
-		return false
-	}
-	n, m := 0, 0
-	for v := 0; v < g.N(); v++ {
-		if alive != nil && !alive[v] {
-			continue
-		}
-		n++
-		for _, w := range g.adj[v] {
-			if v < w && (alive == nil || alive[w]) {
-				m++
-			}
-		}
-	}
-	return m == n-1
 }

@@ -9,15 +9,15 @@ import (
 	"repro/internal/steiner"
 )
 
-// TestAlgorithm2FrozenZeroAlloc pins the zero-alloc contract of the hot
-// serving path: with a warm scratch pool and a recycled result Tree, a
-// steady-state Algorithm-2 query performs no heap allocation at all —
-// the alive/terminal masks, the wave-kernel scratch and the spanning-tree
-// buffers all come from the sync.Pool, and the result reuses the Tree's
-// capacity. GC is disabled around the measurement so the pool cannot be
-// drained mid-run (a GC cycle may legitimately drop pooled scratch; that
-// is an amortized allocation, not a per-query one).
-func TestAlgorithm2FrozenZeroAlloc(t *testing.T) {
+// TestAlgorithm2FrozenWarmAllocs pins the allocation cost of the hot
+// serving path: with a warm scratch pool, a steady-state Algorithm-2 query
+// allocates only its result — the node and edge slices, each sized once
+// from the alive count. The alive/terminal masks, the wave-kernel scratch
+// and the spanning-tree queue all come from the sync.Pool. GC is disabled
+// around the measurement so the pool cannot be drained mid-run (a GC cycle
+// may legitimately drop pooled scratch; that is an amortized allocation,
+// not a per-query one).
+func TestAlgorithm2FrozenWarmAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation makes sync.Pool drop items; allocs are expected")
 	}
@@ -29,19 +29,18 @@ func TestAlgorithm2FrozenZeroAlloc(t *testing.T) {
 	perm := r.Perm(fg.N())
 	terminals := perm[:6]
 
-	var tree steiner.Tree
-	for i := 0; i < 3; i++ { // warm the pool and the tree's capacity
-		if err := steiner.Algorithm2FrozenInto(ctx, fg, terminals, &tree); err != nil {
+	for i := 0; i < 3; i++ { // warm the pool
+		if _, err := steiner.Algorithm2FrozenShared(ctx, fg, terminals, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := steiner.Algorithm2FrozenInto(ctx, fg, terminals, &tree); err != nil {
+		if _, err := steiner.Algorithm2FrozenShared(ctx, fg, terminals, nil); err != nil {
 			t.Error(err)
 		}
 	})
-	if allocs != 0 {
-		t.Fatalf("Algorithm2FrozenInto allocates %.1f times per steady-state query, want 0", allocs)
+	if allocs != 2 {
+		t.Fatalf("Algorithm2FrozenShared allocates %.1f times per steady-state query, want 2 (the result's nodes and edges)", allocs)
 	}
 }
 
@@ -49,8 +48,8 @@ func TestAlgorithm2FrozenZeroAlloc(t *testing.T) {
 // query: once its component's Lemma 1 ordering is memoized on the
 // bipartite.Frozen, a call floods the component, runs the elimination pass
 // and renders the result Tree, so its only allocations are the result's
-// node and edge slices growing. A call that rebuilds H¹ and its greedy
-// edge order makes about 600 here, so the bound catches a bypassed memo.
+// node and edge slices. A call that rebuilds H¹ and its greedy edge order
+// makes about 600 here.
 func TestAlgorithm1FrozenWarmAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation makes sync.Pool drop items; allocs are expected")
@@ -63,17 +62,16 @@ func TestAlgorithm1FrozenWarmAllocs(t *testing.T) {
 	terminals := perm[:6]
 
 	for i := 0; i < 3; i++ { // build the memo entry and warm the pool
-		if _, err := steiner.Algorithm1Frozen(ctx, fb, terminals); err != nil {
+		if _, err := steiner.Algorithm1FrozenShared(ctx, fb, terminals, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := steiner.Algorithm1Frozen(ctx, fb, terminals); err != nil {
+		if _, err := steiner.Algorithm1FrozenShared(ctx, fb, terminals, nil); err != nil {
 			t.Error(err)
 		}
 	})
-	if allocs >= 32 {
-		t.Fatalf("Algorithm1Frozen allocates %.1f times per warm query, want < 32", allocs)
+	if allocs != 2 {
+		t.Fatalf("Algorithm1FrozenShared allocates %.1f times per warm query, want 2 (the result's nodes and edges)", allocs)
 	}
-	t.Logf("%.1f allocations per warm query", allocs)
 }

@@ -6,7 +6,8 @@ package steiner_test
 // node counts straddling them — a partially filled single word, exact
 // word multiples, and one-past. Each size runs against both the
 // matrix-backed frozen view and a matrix-stripped CSR view, so the wave
-// kernel and the fallback are held to the mutable path at every seam.
+// kernel and the fallback are held to each other and to the recorded
+// answers of testdata/answers.golden at every seam.
 
 import (
 	"fmt"
@@ -69,9 +70,7 @@ func TestFrozenSolversAtWordBoundaries(t *testing.T) {
 	for _, n := range solverBoundarySizes {
 		for trial := 0; trial < 4; trial++ {
 			scheme := fmt.Sprintf("n%d/t%d", n, trial)
-			b := boundaryScheme(r, n)
-			g := b.G()
-			fb := b.Freeze()
+			fb := boundaryScheme(r, n).Freeze()
 			fg := fb.G()
 			fgCSR, fbCSR := stripMatrix(t, fb)
 			if !fg.HasMatrix() && n > 1 || fgCSR.HasMatrix() {
@@ -80,43 +79,33 @@ func TestFrozenSolversAtWordBoundaries(t *testing.T) {
 			for _, terms := range terminalSets(r, n) {
 				label := fmt.Sprintf("n=%d terms=%v", n, terms)
 
-				want, err1 := steiner.Algorithm2(g, terms)
-				got, err2 := steiner.Algorithm2Frozen(ctx, fg, terms)
-				assertSameTree(t, label+" Algorithm2/matrix", want, got, err1, err2)
-				got, err2 = steiner.Algorithm2Frozen(ctx, fgCSR, terms)
-				assertSameTree(t, label+" Algorithm2/csr", want, got, err1, err2)
-				sweep.add(scheme, "Algorithm2", terms, want, err1)
+				got, err := steiner.Algorithm2FrozenShared(ctx, fg, terms, nil)
+				gotCSR, errCSR := steiner.Algorithm2FrozenShared(ctx, fgCSR, terms, nil)
+				assertSameTree(t, label+" Algorithm2 matrix/csr", got, gotCSR, err, errCSR)
+				sweep.add(scheme, "Algorithm2", terms, got, err)
 
-				want, err1 = steiner.Algorithm1(b, terms)
-				got, err2 = steiner.Algorithm1Frozen(ctx, fb, terms)
-				assertSameTree(t, label+" Algorithm1/matrix", want, got, err1, err2)
-				got, err2 = steiner.Algorithm1Frozen(ctx, fbCSR, terms)
-				assertSameTree(t, label+" Algorithm1/csr", want, got, err1, err2)
-				sweep.add(scheme, "Algorithm1", terms, want, err1)
+				got, err = steiner.Algorithm1FrozenShared(ctx, fb, terms, nil)
+				gotCSR, errCSR = steiner.Algorithm1FrozenShared(ctx, fbCSR, terms, nil)
+				assertSameTree(t, label+" Algorithm1 matrix/csr", got, gotCSR, err, errCSR)
+				sweep.add(scheme, "Algorithm1", terms, got, err)
 
 				order := r.Perm(n)
-				want, err1 = steiner.EliminateOrdered(g, terms, order)
-				got, err2 = steiner.EliminateOrderedFrozen(ctx, fg, terms, order)
-				assertSameTree(t, label+" EliminateOrdered/matrix", want, got, err1, err2)
-				got, err2 = steiner.EliminateOrderedFrozen(ctx, fgCSR, terms, order)
-				assertSameTree(t, label+" EliminateOrdered/csr", want, got, err1, err2)
-				sweep.add(scheme, "EliminateOrdered", terms, want, err1)
+				got, err = steiner.EliminateOrderedFrozen(ctx, fg, terms, order)
+				gotCSR, errCSR = steiner.EliminateOrderedFrozen(ctx, fgCSR, terms, order)
+				assertSameTree(t, label+" EliminateOrdered matrix/csr", got, gotCSR, err, errCSR)
+				sweep.add(scheme, "EliminateOrdered", terms, got, err)
 
 				if len(terms) <= 5 {
-					want, err1 = steiner.Exact(g, terms)
-					got, err2 = steiner.ExactFrozen(ctx, fg, terms)
-					assertSameTree(t, label+" Exact/matrix", want, got, err1, err2)
-					got, err2 = steiner.ExactFrozen(ctx, fgCSR, terms)
-					assertSameTree(t, label+" Exact/csr", want, got, err1, err2)
-					sweep.add(scheme, "Exact", terms, want, err1)
+					got, err = steiner.ExactFrozenShared(ctx, fg, terms, nil)
+					gotCSR, errCSR = steiner.ExactFrozenShared(ctx, fgCSR, terms, nil)
+					assertSameTree(t, label+" Exact matrix/csr", got, gotCSR, err, errCSR)
+					sweep.add(scheme, "Exact", terms, got, err)
 				}
 
-				want, err1 = steiner.Approximate(g, terms)
-				got, err2 = steiner.ApproximateFrozen(ctx, fg, terms)
-				assertSameTree(t, label+" Approximate/matrix", want, got, err1, err2)
-				got, err2 = steiner.ApproximateFrozen(ctx, fgCSR, terms)
-				assertSameTree(t, label+" Approximate/csr", want, got, err1, err2)
-				sweep.add(scheme, "Approximate", terms, want, err1)
+				got, err = steiner.ApproximateFrozenShared(ctx, fg, terms, nil)
+				gotCSR, errCSR = steiner.ApproximateFrozenShared(ctx, fgCSR, terms, nil)
+				assertSameTree(t, label+" Approximate matrix/csr", got, gotCSR, err, errCSR)
+				sweep.add(scheme, "Approximate", terms, got, err)
 			}
 		}
 	}
@@ -141,7 +130,7 @@ func TestPooledScratchHammerAcrossSizes(t *testing.T) {
 		b := boundaryScheme(r, n)
 		fg := b.Freeze().G()
 		for _, terms := range terminalSets(r, n) {
-			if want, err := steiner.Algorithm2Frozen(ctx, fg, terms); err == nil {
+			if want, err := steiner.Algorithm2FrozenShared(ctx, fg, terms, nil); err == nil {
 				cases = append(cases, testCase{fg: fg, terms: terms, want: want})
 			}
 		}
@@ -155,10 +144,10 @@ func TestPooledScratchHammerAcrossSizes(t *testing.T) {
 		wg.Add(1)
 		go func(seed int) {
 			defer wg.Done()
-			var tree steiner.Tree // recycled across sizes, like a server would
 			for i := 0; i < 40; i++ {
 				c := cases[(seed+i)%len(cases)]
-				if err := steiner.Algorithm2FrozenInto(ctx, c.fg, c.terms, &tree); err != nil {
+				tree, err := steiner.Algorithm2FrozenShared(ctx, c.fg, c.terms, nil)
+				if err != nil {
 					errc <- fmt.Errorf("hammer: %v", err)
 					return
 				}
@@ -166,7 +155,7 @@ func TestPooledScratchHammerAcrossSizes(t *testing.T) {
 					errc <- fmt.Errorf("hammer: nodes differ on n=%d", c.fg.N())
 					return
 				}
-				if _, err := steiner.ApproximateFrozen(ctx, c.fg, c.terms); err != nil {
+				if _, err := steiner.ApproximateFrozenShared(ctx, c.fg, c.terms, nil); err != nil {
 					errc <- fmt.Errorf("hammer approximate: %v", err)
 					return
 				}

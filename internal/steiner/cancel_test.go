@@ -21,27 +21,33 @@ func TestFrozenSolversCancelled(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, err := steiner.Algorithm2Frozen(cancelled, fg, terms); !errors.Is(err, context.Canceled) {
-		t.Errorf("Algorithm2Frozen: %v", err)
+	if _, err := steiner.Algorithm2FrozenShared(cancelled, fg, terms, nil); !errors.Is(err, context.Canceled) {
+		t.Errorf("Algorithm2FrozenShared: %v", err)
 	}
 	if _, err := steiner.EliminateOrderedFrozen(cancelled, fg, terms, []int{0, 1, 2}); !errors.Is(err, context.Canceled) {
 		t.Errorf("EliminateOrderedFrozen: %v", err)
 	}
-	if _, err := steiner.ExactFrozen(cancelled, fg, terms); !errors.Is(err, context.Canceled) {
-		t.Errorf("ExactFrozen: %v", err)
+	if _, err := steiner.EliminateOrderedStrict(cancelled, fg, terms, []int{0, 1, 2}); !errors.Is(err, context.Canceled) {
+		t.Errorf("EliminateOrderedStrict: %v", err)
 	}
-	if _, err := steiner.ApproximateFrozen(cancelled, fg, terms); !errors.Is(err, context.Canceled) {
-		t.Errorf("ApproximateFrozen: %v", err)
+	if _, err := steiner.ExactFrozenShared(cancelled, fg, terms, nil); !errors.Is(err, context.Canceled) {
+		t.Errorf("ExactFrozenShared: %v", err)
+	}
+	if _, err := steiner.ApproximateFrozenShared(cancelled, fg, terms, nil); !errors.Is(err, context.Canceled) {
+		t.Errorf("ApproximateFrozenShared: %v", err)
 	}
 	if _, err := steiner.RankedCovers(cancelled, b.G(), terms, b.N(), 5); !errors.Is(err, context.Canceled) {
 		t.Errorf("RankedCovers: %v", err)
 	}
-	// Algorithm1Frozen rejects the grid before its elimination loop (not
-	// alpha-acyclic), so exercise it on a scheme it accepts.
+	// Algorithm1FrozenShared rejects the grid before its elimination loop
+	// (not alpha-acyclic), so exercise it on a scheme it accepts.
 	ab := gen.GridBipartite(1, 9) // a path: trivially alpha-acyclic
 	afb := ab.Freeze()
-	if _, err := steiner.Algorithm1Frozen(cancelled, afb, []int{0, ab.N() - 1}); !errors.Is(err, context.Canceled) {
-		t.Errorf("Algorithm1Frozen: %v", err)
+	if _, err := steiner.Algorithm1FrozenShared(cancelled, afb, []int{0, ab.N() - 1}, nil); !errors.Is(err, context.Canceled) {
+		t.Errorf("Algorithm1FrozenShared: %v", err)
+	}
+	if _, err := steiner.Algorithm1WithOrder(cancelled, afb, []int{0, ab.N() - 1}, afb.V2()); !errors.Is(err, context.Canceled) {
+		t.Errorf("Algorithm1WithOrder: %v", err)
 	}
 }
 
@@ -56,7 +62,7 @@ func TestExactFrozenDeadlineInsideDP(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := steiner.ExactFrozen(ctx, fg, terms); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := steiner.ExactFrozenShared(ctx, fg, terms, nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }
@@ -65,14 +71,14 @@ func TestExactFrozenDeadlineInsideDP(t *testing.T) {
 func TestSentinelErrors(t *testing.T) {
 	fg := gen.GridBipartite(5, 5).Freeze().G()
 	ctx := context.Background()
-	if _, err := steiner.ExactFrozen(ctx, fg, nil); !errors.Is(err, steiner.ErrEmptyTerminals) {
+	if _, err := steiner.ExactFrozenShared(ctx, fg, nil, nil); !errors.Is(err, steiner.ErrEmptyTerminals) {
 		t.Errorf("empty terminals: %v", err)
 	}
 	tooMany := make([]int, steiner.ExactTerminalLimit+1)
 	for i := range tooMany {
 		tooMany[i] = i // distinct ids, all within the 25-node grid
 	}
-	if _, err := steiner.ExactFrozen(ctx, fg, tooMany); !errors.Is(err, steiner.ErrTooManyTerminals) {
+	if _, err := steiner.ExactFrozenShared(ctx, fg, tooMany, nil); !errors.Is(err, steiner.ErrTooManyTerminals) {
 		t.Errorf("too many terminals: %v", err)
 	}
 }

@@ -2,11 +2,10 @@
 
 package steiner
 
-// Frozen-path solvers: the Section 3 algorithms compiled against the
-// immutable CSR views of internal/graph and internal/bipartite. The
-// algorithms are the same as the mutable path (steiner.go, algorithm1.go,
-// exact.go, heuristic.go) and return identical answers (asserted by
-// frozen_test.go), but the hot loops differ:
+// The Section 3 solvers, compiled against the immutable CSR views of
+// internal/graph and internal/bipartite. Their answers — node set,
+// spanning-tree edge order and errors — are pinned case by case in
+// testdata/answers.golden. The hot loops:
 //
 //   - alive masks, terminal sets and visited sets are packed graph.Bits, so
 //     the connectivity probes of the elimination passes run the word-parallel
@@ -14,17 +13,16 @@ package steiner
 //     the terminal word-mask is covered — 64 candidate nodes per machine
 //     word on matrix-backed schemes, the CSR fallback otherwise;
 //   - Algorithm 1 runs on the terminals' component via an alive bitmask over
-//     the shared CSR arrays instead of materializing an induced subgraph
-//     copy with id remapping, and reads the component's Lemma 1 ordering
-//     from bipartite.Frozen's per-component memo instead of rebuilding H¹
-//     per query;
+//     the shared CSR arrays, with no induced-subgraph copy, and reads the
+//     component's Lemma 1 ordering from bipartite.Frozen's per-component
+//     memo, so H¹ is built once per component rather than per query;
 //   - the Dreyfus–Wagner tables are flat int32 blocks indexed s*n+v, with
 //     BFS distance rows built only for the terminals' component;
 //   - every per-query buffer (bit scratch, alive/terminal masks, distance
-//     rows, DP tables, spanning-tree queue) comes from a sync.Pool, so
-//     steady-state queries on a warm pool allocate nothing beyond their
-//     result (and the *Into variants not even that — see
-//     TestAlgorithm2FrozenZeroAlloc).
+//     rows, DP tables, spanning-tree queue) comes from a sync.Pool, so a
+//     steady-state Algorithm 1 or 2 query on a warm pool allocates only its
+//     result: the node and edge slices, each sized exactly once (see
+//     TestAlgorithm2FrozenWarmAllocs).
 //
 // Every function here only reads the frozen views (the Lemma 1 memo, which
 // bipartite.Frozen fills once per component and publishes atomically, is
@@ -32,8 +30,8 @@ package steiner
 // queries (see core.Service); the pooled scratch is owned by exactly one
 // query between get and release.
 //
-// Each frozen solver takes a context.Context and checks it periodically —
-// at iteration granularity in the polynomial elimination passes, per
+// Each solver takes a context.Context and checks it periodically — at
+// iteration granularity in the polynomial elimination passes, per
 // terminal-subset in the exponential Dreyfus–Wagner program — returning
 // ctx.Err() (context.Canceled or context.DeadlineExceeded, errors.Is-
 // testable) so a deadline bounds the tail latency of a query instead of
@@ -57,12 +55,12 @@ import (
 // test.
 const cancelStride = 64
 
-// frozenScratch bundles every reusable per-query buffer of the frozen
-// solvers. Instances cycle through scratchPool: a query takes one with
-// getScratch, owns it exclusively until release, and never lets a buffer
-// escape into a result (Tree nodes/edges are always appended into
-// caller-owned slices). All buffers grow monotonically, so a warm scratch
-// serves any query on the same scheme without allocating.
+// frozenScratch bundles every reusable per-query buffer of the solvers.
+// Instances cycle through scratchPool: a query takes one with getScratch,
+// owns it exclusively until release, and never lets a buffer escape into a
+// result (spanningTreeBits copies the answer into freshly allocated
+// slices). All buffers grow monotonically, so a warm scratch serves any
+// query on the same scheme without allocating.
 type frozenScratch struct {
 	bit    *graph.BitScratch // wave-kernel scratch (visited/frontier/queue)
 	alive  graph.Bits        // the solver's mutable alive mask
@@ -151,8 +149,7 @@ func restrictToTerminalComponentBits(fg *graph.Frozen, alive graph.Bits, termina
 
 // coversBits reports whether the alive subgraph is a cover of the terminals
 // per Definition 10 — every terminal alive, all alive nodes in one
-// component — mirroring Frozen.Covers on a packed mask. term must be the
-// terminal mask and terminals non-empty.
+// component. term must be the terminal mask and terminals non-empty.
 func coversBits(fg *graph.Frozen, alive, term graph.Bits, terminals []int, bsc *graph.BitScratch) bool {
 	if !term.SubsetOf(alive) {
 		return false
@@ -160,19 +157,20 @@ func coversBits(fg *graph.Frozen, alive, term graph.Bits, terminals []int, bsc *
 	return alive.SubsetOf(fg.Reachable(terminals[0], alive, bsc))
 }
 
-// spanningTreeBits builds the Tree result for an alive cover into t,
-// reusing t's slice capacity (a fresh Tree yields exactly the allocation of
-// the result; a recycled one yields none). The walk replays
-// Frozen.SpanningTreeAlive verbatim — FIFO BFS from the smallest alive
-// node, neighbors in CSR order — so the edge list is bit-for-bit the one
-// the mutable path produces.
-func spanningTreeBits(fg *graph.Frozen, alive graph.Bits, sc *frozenScratch, t *Tree) error {
-	nodes := alive.AppendOnes([]int(t.Nodes)[:0])
-	t.Nodes = intset.Set(nodes)
-	t.Edges = t.Edges[:0]
-	if len(nodes) == 0 {
-		return nil
+// spanningTreeBits builds the Tree result for an alive cover: its nodes in
+// ascending order and the edges of a FIFO BFS tree from the smallest alive
+// node, neighbors in CSR order. Both slices are allocated once, at their
+// exact sizes, so they are the call's only allocations.
+func spanningTreeBits(fg *graph.Frozen, alive graph.Bits, sc *frozenScratch) (Tree, error) {
+	count := alive.Count()
+	if count == 0 {
+		return Tree{}, nil
 	}
+	nodes := alive.AppendOnes(make([]int, 0, count))
+	if count == 1 {
+		return Tree{Nodes: intset.Set(nodes)}, nil
+	}
+	edges := make([]graph.Edge, 0, count-1)
 	start := nodes[0]
 	seen := sc.seen
 	seen.Reset()
@@ -191,15 +189,15 @@ func spanningTreeBits(fg *graph.Frozen, alive graph.Bits, sc *frozenScratch, t *
 			if e.V < e.U {
 				e.U, e.V = e.V, e.U
 			}
-			t.Edges = append(t.Edges, e)
+			edges = append(edges, e)
 			queue = append(queue, w)
 		}
 	}
 	sc.queue = queue[:0]
-	if visited != len(nodes) {
-		return errors.New("steiner: cover is not connected (internal error)")
+	if visited != count {
+		return Tree{}, errors.New("steiner: cover is not connected (internal error)")
 	}
-	return nil
+	return Tree{Nodes: intset.Set(nodes), Edges: edges}, nil
 }
 
 // terminalsConnectedBits reports whether all terminals are alive and
@@ -215,13 +213,13 @@ func terminalsConnectedBits(fg *graph.Frozen, alive, term graph.Bits, terminals 
 }
 
 // eliminateFrozen is the Definition 11 single-pass redundant-node
-// elimination over a packed alive mask, shared by EliminateOrderedFrozen,
-// Algorithm2Frozen and the batch planner. identity selects the id-order
-// fast path: the pass iterates 0..n-1 directly and never materializes a
-// per-query order slice.
-func eliminateFrozen(ctx context.Context, fg *graph.Frozen, terminals, order []int, identity bool, sh *Shared, t *Tree) error {
+// elimination over a packed alive mask, shared by EliminateOrderedFrozen
+// and Algorithm2FrozenShared. identity selects the id-order fast path: the
+// pass iterates 0..n-1 directly and never materializes a per-query order
+// slice.
+func eliminateFrozen(ctx context.Context, fg *graph.Frozen, terminals, order []int, identity bool, sh *Shared) (Tree, error) {
 	// Phase spans no-op on a traceless ctx (nil *Trace, zero SpanRef), so
-	// the zero-alloc pin and the hot benchmarks are untouched.
+	// the allocation pins and the hot benchmarks are untouched.
 	tr := trace.FromContext(ctx)
 	n := fg.N()
 	sc := getScratch(n)
@@ -230,7 +228,7 @@ func eliminateFrozen(ctx context.Context, fg *graph.Frozen, terminals, order []i
 	alive, err := componentAliveBits(fg, terminals, sh, sc, sc.alive)
 	psp.End()
 	if err != nil {
-		return err
+		return Tree{}, err
 	}
 	term := termMask(sc, terminals)
 	esp := tr.StartSpan("solve.eliminate")
@@ -239,7 +237,7 @@ func eliminateFrozen(ctx context.Context, fg *graph.Frozen, terminals, order []i
 			if v&(cancelStride-1) == 0 {
 				if err := ctx.Err(); err != nil {
 					esp.End()
-					return err
+					return Tree{}, err
 				}
 			}
 			if !alive.Has(v) || term.Has(v) {
@@ -255,7 +253,7 @@ func eliminateFrozen(ctx context.Context, fg *graph.Frozen, terminals, order []i
 			if i&(cancelStride-1) == 0 {
 				if err := ctx.Err(); err != nil {
 					esp.End()
-					return err
+					return Tree{}, err
 				}
 			}
 			if v < 0 || v >= n || !alive.Has(v) || term.Has(v) {
@@ -272,70 +270,75 @@ func eliminateFrozen(ctx context.Context, fg *graph.Frozen, terminals, order []i
 	// outside the terminals' component; restrict to it.
 	rsp := tr.StartSpan("solve.render")
 	restrictToTerminalComponentBits(fg, alive, terminals, sc)
-	err = spanningTreeBits(fg, alive, sc, t)
+	t, err := spanningTreeBits(fg, alive, sc)
 	rsp.End()
-	return err
+	return t, err
 }
 
-// EliminateOrderedFrozen is EliminateOrdered on a frozen graph: the
-// Definition 11 single-pass redundant-node elimination, with each removal
-// probe running the early-exit word-parallel connectivity search. The
-// context is checked every cancelStride removals.
+// EliminateOrderedFrozen runs the redundant-node elimination of
+// Definition 11 in one pass: nodes are visited in the given order and
+// removed whenever the terminals remain connected among themselves
+// afterwards, each removal probe running the early-exit word-parallel
+// connectivity search. Removing a node may strand a pendant fragment;
+// stranded nodes are themselves removable and disappear when the pass
+// reaches them, so the surviving subgraph is exactly the terminals'
+// component — a *nonredundant* cover (Theorem 5's Step 1). One pass
+// suffices: a kept node is a cut node separating the terminals, and
+// deleting further nodes never creates new paths, so it stays one (this is
+// also what keeps the algorithm at the O(|V|·|A|) of Theorem 5). The
+// ordering determines WHICH nonredundant cover is reached — the substance
+// of Definition 11 and Theorem 6.
+//
+// On a (6,2)-chordal bipartite graph every nonredundant cover is minimum
+// (Lemma 5), so every ordering yields a minimum cover (Corollary 5); this
+// is Algorithm 2 when the order is arbitrary. On general graphs the result
+// is only guaranteed nonredundant. The context is checked every
+// cancelStride removals.
 func EliminateOrderedFrozen(ctx context.Context, fg *graph.Frozen, terminals, order []int) (Tree, error) {
-	var t Tree
-	if err := EliminateOrderedFrozenInto(ctx, fg, terminals, order, &t); err != nil {
-		return Tree{}, err
-	}
-	return t, nil
+	return eliminateFrozen(ctx, fg, terminals, order, false, nil)
 }
 
-// EliminateOrderedFrozenInto is EliminateOrderedFrozen appending into t,
-// reusing its node/edge capacity — the allocation-free form for callers
-// that recycle result buffers.
-func EliminateOrderedFrozenInto(ctx context.Context, fg *graph.Frozen, terminals, order []int, t *Tree) error {
-	return eliminateFrozen(ctx, fg, terminals, order, false, nil, t)
-}
-
-// Algorithm2Frozen is Algorithm2 on a frozen graph (Theorem 5): redundant-
-// node elimination in id order, minimum on (6,2)-chordal bipartite graphs.
-// The id order is implicit — no per-query order slice is built.
-func Algorithm2Frozen(ctx context.Context, fg *graph.Frozen, terminals []int) (Tree, error) {
-	return Algorithm2FrozenShared(ctx, fg, terminals, nil)
-}
-
-// Algorithm2FrozenShared is Algorithm2Frozen drawing component masks from a
-// batch-planner Shared (nil behaves like Algorithm2Frozen).
+// Algorithm2FrozenShared solves the Steiner problem on a (6,2)-chordal
+// bipartite graph (Theorem 5): it eliminates redundant nodes in id order
+// and returns a spanning tree of the resulting cover, which Lemma 5
+// guarantees to be minimum. The id order is implicit — no per-query order
+// slice is built. The precondition ((6,2)-chordality) is the caller's
+// responsibility — use chordality.ClassifyFrozen or core.Connector; on
+// other graphs the result is a nonredundant, possibly non-minimum, cover.
+// Component masks come from the batch-planner Shared sh when it has them;
+// a nil sh means nothing is precomputed.
 func Algorithm2FrozenShared(ctx context.Context, fg *graph.Frozen, terminals []int, sh *Shared) (Tree, error) {
-	var t Tree
-	if err := eliminateFrozen(ctx, fg, terminals, nil, true, sh, &t); err != nil {
-		return Tree{}, err
-	}
-	return t, nil
+	return eliminateFrozen(ctx, fg, terminals, nil, true, sh)
 }
 
-// Algorithm2FrozenInto is Algorithm2Frozen appending into t, reusing its
-// node/edge capacity. On a warm scratch pool a steady-state call performs
-// zero allocations (see TestAlgorithm2FrozenZeroAlloc).
-func Algorithm2FrozenInto(ctx context.Context, fg *graph.Frozen, terminals []int, t *Tree) error {
-	return eliminateFrozen(ctx, fg, terminals, nil, true, nil, t)
-}
-
-// Algorithm1Frozen is Algorithm1 on a frozen bipartite graph (Theorem 3):
-// the pseudo-Steiner tree with the minimum number of V2 nodes on a
-// V1-chordal, V1-conformal scheme. Instead of materializing the induced
-// subgraph of the terminals' component (as the mutable path does) it runs
-// the elimination pass under an alive bitmask over the shared CSR arrays.
+// Algorithm1FrozenShared solves the pseudo-Steiner problem with respect to
+// V2 (Definition 9) on a V1-chordal, V1-conformal bipartite graph, per
+// Theorem 3:
+//
+//	Step 1: order the V2 nodes of the terminals' component as in Lemma 1 —
+//	        the reverse of a running-intersection ordering of the edges of
+//	        H¹G (obtained via the join tree, as Theorem 4 obtains it from
+//	        Tarjan–Yannakakis restricted maximum cardinality search);
+//	Step 2: scan that ordering once, removing v together with Adj*(v) (the
+//	        nodes currently adjacent only to v) whenever the terminals
+//	        remain connected afterwards;
+//	Step 3: return a spanning tree of the surviving cover.
+//
+// The result is a tree over the terminals with the minimum possible number
+// of V2 nodes. Total node count is NOT minimized (that problem is
+// NP-complete on this class, Theorem 2); see Algorithm2FrozenShared and
+// ExactFrozenShared. The bound needs two or more terminals: a lone V1
+// terminal keeps the V2 node whose removal would take the terminal with
+// it, although the terminal alone is a tree without V2 nodes.
+//
+// The elimination runs under an alive bitmask over the shared CSR arrays.
 // The Lemma 1 ordering comes from bipartite.Frozen.Lemma1Order, which
 // builds it once per component; the first query on a component pays that
-// O(m²) build without context checks. It returns ErrNotAlphaAcyclic when
-// H¹ of the component is not α-acyclic. The context is checked every
-// cancelStride elimination steps.
-func Algorithm1Frozen(ctx context.Context, fb *bipartite.Frozen, terminals []int) (Tree, error) {
-	return Algorithm1FrozenShared(ctx, fb, terminals, nil)
-}
-
-// Algorithm1FrozenShared is Algorithm1Frozen drawing component masks from a
-// batch-planner Shared (nil behaves like Algorithm1Frozen).
+// O(m²) build without context checks. Algorithm 1 verifies its own
+// precondition: it returns ErrNotAlphaAcyclic when H¹ of the component is
+// not α-acyclic. The context is checked every cancelStride elimination
+// steps. Component masks come from the batch-planner Shared sh when it has
+// them; a nil sh means nothing is precomputed.
 func Algorithm1FrozenShared(ctx context.Context, fb *bipartite.Frozen, terminals []int, sh *Shared) (Tree, error) {
 	tr := trace.FromContext(ctx)
 	fg := fb.G()
@@ -353,10 +356,18 @@ func Algorithm1FrozenShared(ctx context.Context, fb *bipartite.Frozen, terminals
 	if !ok {
 		return Tree{}, ErrNotAlphaAcyclic
 	}
+	return algorithm1Eliminate(ctx, tr, fg, terminals, w, alive, sc)
+}
+
+// algorithm1Eliminate is Steps 2–3 of Algorithm 1: one pass over the V2
+// ids in order (every id must be a V2 node of fg) on the alive mask of the
+// terminals' component, then the spanning tree of what survives. Shared by
+// Algorithm1FrozenShared and the ordering ablation Algorithm1WithOrder.
+func algorithm1Eliminate(ctx context.Context, tr *trace.Trace, fg *graph.Frozen, terminals, order []int, alive graph.Bits, sc *frozenScratch) (Tree, error) {
 	term := termMask(sc, terminals)
 	removed := sc.ints[:0]
 	esp := tr.StartSpan("solve.eliminate")
-	for i, v2 := range w {
+	for i, v2 := range order {
 		if i&(cancelStride-1) == 0 {
 			if err := ctx.Err(); err != nil {
 				esp.End()
@@ -392,9 +403,12 @@ func Algorithm1FrozenShared(ctx context.Context, fb *bipartite.Frozen, terminals
 				break
 			}
 		}
-		// Same cover test as the mutable path: the terminals must stay
-		// mutually connected; stranded fragments are cleaned up when the
-		// ordering reaches their own V2 nodes.
+		// "Is a cover of P": the terminals must stay mutually connected.
+		// A removal may strand a fragment (e.g. the remnant of an edge of
+		// H¹ contained in the removed one); such fragments are cleaned up
+		// when the ordering reaches their own V2 nodes — demanding whole-
+		// graph connectivity here would instead block removals behind
+		// their subsumed edges and lose V2-minimality.
 		if ok && !terminalsConnectedBits(fg, alive, term, terminals, sc.bit) {
 			ok = false
 		}
@@ -408,55 +422,41 @@ func Algorithm1FrozenShared(ctx context.Context, fb *bipartite.Frozen, terminals
 	sc.ints = removed[:0]
 	rsp := tr.StartSpan("solve.render")
 	restrictToTerminalComponentBits(fg, alive, terminals, sc)
-	var t Tree
-	err = spanningTreeBits(fg, alive, sc, &t)
+	t, err := spanningTreeBits(fg, alive, sc)
 	rsp.End()
-	if err != nil {
-		return Tree{}, err
-	}
-	return t, nil
+	return t, err
 }
 
-// ExactFrozen is Exact on a frozen graph: the Dreyfus–Wagner dynamic
-// program over terminal subsets with flat int32 state. The BFS distance
-// rows are built only for the nodes of the terminals' component C (an
-// intermediate Steiner point of a connected cover can never leave it), and
-// the dp/choice tables are two contiguous blocks indexed s·n+v, so for k+1
-// terminals peak memory is (|C| + 2·2^k)·n int32 words — the 2^k factor is
-// inherent to the DP (Theorem 2 forbids better in general), the |C|·n
-// distance block replaces the former n² one. The context is checked before
-// the distance rows are built, per cancelStride rows, and once per terminal
-// subset of the DP (each subset costs O(|C|²) work, so a deadline is
-// honored well before the exponential loop completes).
-func ExactFrozen(ctx context.Context, fg *graph.Frozen, terminals []int) (Tree, error) {
-	return ExactFrozenShared(ctx, fg, terminals, nil)
-}
-
-// ExactFrozenShared is ExactFrozen drawing component masks from a
-// batch-planner Shared (nil behaves like ExactFrozen).
+// ExactFrozenShared solves the node-minimum Steiner problem exactly with
+// the Dreyfus–Wagner dynamic program over terminal subsets. With unit edge
+// weights a tree on t nodes has t−1 edges, so minimizing edges minimizes
+// nodes. Complexity O(3^k·|C| + 2^k·|C|²) for k terminals in a component
+// C — exponential in k, as Theorem 2's NP-completeness predicts for the
+// general case; at most ExactTerminalLimit terminals are accepted.
+//
+// The state is flat int32: the BFS distance rows are built only for the
+// nodes of the terminals' component C (an intermediate Steiner point of a
+// connected cover can never leave it), and the dp/choice tables are two
+// contiguous blocks indexed s·n+v, so for k+1 terminals peak memory is
+// (|C| + 2·2^k)·n int32 words. The context is checked before the distance
+// rows are built, per cancelStride rows, and once per terminal subset of
+// the DP (each subset costs O(|C|²) work, so a deadline is honored well
+// before the exponential loop completes). Component masks come from the
+// batch-planner Shared sh when it has them; a nil sh means nothing is
+// precomputed.
 func ExactFrozenShared(ctx context.Context, fg *graph.Frozen, terminals []int, sh *Shared) (Tree, error) {
-	var t Tree
-	if err := exactFrozen(ctx, fg, terminals, sh, &t); err != nil {
-		return Tree{}, err
-	}
-	return t, nil
-}
-
-func exactFrozen(ctx context.Context, fg *graph.Frozen, terminals []int, sh *Shared, t *Tree) error {
 	ts := intset.FromSlice(terminals)
 	if ts.Len() == 0 {
-		return ErrEmptyTerminals
+		return Tree{}, ErrEmptyTerminals
 	}
 	if ts.Len() == 1 {
-		t.Nodes = ts.Clone()
-		t.Edges = t.Edges[:0]
-		return nil
+		return Tree{Nodes: ts.Clone()}, nil
 	}
 	if ts.Len() > ExactTerminalLimit {
-		return fmt.Errorf("steiner: %d terminals: %w", ts.Len(), ErrTooManyTerminals)
+		return Tree{}, fmt.Errorf("steiner: %d terminals: %w", ts.Len(), ErrTooManyTerminals)
 	}
 	if err := ctx.Err(); err != nil {
-		return err
+		return Tree{}, err
 	}
 	tr := trace.FromContext(ctx)
 	n := fg.N()
@@ -466,7 +466,7 @@ func exactFrozen(ctx context.Context, fg *graph.Frozen, terminals []int, sh *Sha
 	comp, err := componentAliveBits(fg, terminals, sh, sc, sc.comp)
 	psp.End()
 	if err != nil {
-		return err
+		return Tree{}, err
 	}
 	// Distance rows, one per component member, restricted to the component:
 	// distances between members are unaffected (shortest paths cannot leave
@@ -487,7 +487,7 @@ func exactFrozen(ctx context.Context, fg *graph.Frozen, terminals []int, sh *Sha
 		if i&(cancelStride-1) == 0 {
 			if err := ctx.Err(); err != nil {
 				rowsp.End()
-				return err
+				return Tree{}, err
 			}
 		}
 		fg.BFSDistancesBits(u, comp, dist[i*n:(i+1)*n], sc.bit)
@@ -530,12 +530,11 @@ func exactFrozen(ctx context.Context, fg *graph.Frozen, terminals []int, sh *Sha
 		}
 		if err := ctx.Err(); err != nil {
 			dsp.End()
-			return err
+			return Tree{}, err
 		}
 		b := s * n
-		// Merge step: split S at v. Members ascend in id order, so update
-		// order — and therefore tie-breaking — matches the 0..n-1 sweep of
-		// the mutable path exactly.
+		// Merge step: split S at v. Members ascend in id order, so updates
+		// — and therefore tie-breaking — follow node ids.
 		for _, v := range members {
 			for sub := (s - 1) & s; sub > 0; sub = (sub - 1) & s {
 				if sub < s-sub {
@@ -569,7 +568,7 @@ func exactFrozen(ctx context.Context, fg *graph.Frozen, terminals []int, sh *Sha
 	full := size - 1
 	if dp[full*n+root] >= inf {
 		dsp.End()
-		return ErrDisconnectedTerminals
+		return Tree{}, ErrDisconnectedTerminals
 	}
 	dsp.End()
 
@@ -606,37 +605,31 @@ func exactFrozen(ctx context.Context, fg *graph.Frozen, terminals []int, sh *Sha
 	}
 	rec(full, root)
 
-	err = spanningTreeBits(fg, nodes, sc, t)
+	t, err := spanningTreeBits(fg, nodes, sc)
 	rsp.End()
 	if err != nil {
-		return err
+		return Tree{}, err
 	}
 	if got, want := t.Nodes.Len(), int(dp[full*n+root])+1; got > want {
-		return fmt.Errorf("steiner: reconstruction produced %d nodes for cost %d (internal error)", got, want-1)
-	}
-	return nil
-}
-
-// ApproximateFrozen is Approximate on a frozen graph: the metric-closure
-// 2-approximation with pooled terminal-row BFS distances and the final
-// pruning pass running the word-parallel cover probe. The context is
-// checked per terminal BFS row and every cancelStride pruning probes.
-func ApproximateFrozen(ctx context.Context, fg *graph.Frozen, terminals []int) (Tree, error) {
-	return ApproximateFrozenShared(ctx, fg, terminals, nil)
-}
-
-// ApproximateFrozenShared is ApproximateFrozen drawing component masks and
-// terminal distance rows from a batch-planner Shared (nil behaves like
-// ApproximateFrozen).
-func ApproximateFrozenShared(ctx context.Context, fg *graph.Frozen, terminals []int, sh *Shared) (Tree, error) {
-	var t Tree
-	if err := approximateFrozen(ctx, fg, terminals, sh, &t); err != nil {
-		return Tree{}, err
+		return Tree{}, fmt.Errorf("steiner: reconstruction produced %d nodes for cost %d (internal error)", got, want-1)
 	}
 	return t, nil
 }
 
-func approximateFrozen(ctx context.Context, fg *graph.Frozen, terminals []int, sh *Shared, t *Tree) error {
+// ApproximateFrozenShared computes a Steiner tree with the classical
+// metric-closure heuristic: build the complete graph over the terminals
+// weighted by shortest-path distance, take a minimum spanning tree of it,
+// expand each MST edge into an actual shortest path, and prune redundant
+// nodes. The node count is at most 2× optimal (the usual 2-approximation
+// bound carries over to node counts on unit weights, up to the additive
+// terminal count). This is the fallback the library uses where the paper
+// proves the problem NP-hard and no chordality condition rescues it.
+//
+// Terminal distance rows are pooled (or copied from the batch-planner
+// Shared sh when it has them; a nil sh means nothing is precomputed), and
+// the final pruning pass runs the word-parallel cover probe. The context
+// is checked per terminal BFS row and every cancelStride pruning probes.
+func ApproximateFrozenShared(ctx context.Context, fg *graph.Frozen, terminals []int, sh *Shared) (Tree, error) {
 	tr := trace.FromContext(ctx)
 	ts := intset.FromSlice(terminals)
 	n := fg.N()
@@ -646,12 +639,10 @@ func approximateFrozen(ctx context.Context, fg *graph.Frozen, terminals []int, s
 	_, err := componentAliveBits(fg, terminals, sh, sc, sc.comp)
 	psp.End()
 	if err != nil {
-		return err
+		return Tree{}, err
 	}
 	if ts.Len() == 1 {
-		t.Nodes = ts.Clone()
-		t.Edges = t.Edges[:0]
-		return nil
+		return Tree{Nodes: ts.Clone()}, nil
 	}
 	k := ts.Len()
 	rowsp := tr.StartSpan("solve.rows")
@@ -661,7 +652,7 @@ func approximateFrozen(ctx context.Context, fg *graph.Frozen, terminals []int, s
 	for i, p := range ts {
 		if err := ctx.Err(); err != nil {
 			rowsp.End()
-			return err
+			return Tree{}, err
 		}
 		if row := sh.row(p); row != nil {
 			copy(dist[i*n:(i+1)*n], row)
@@ -712,8 +703,7 @@ func approximateFrozen(ctx context.Context, fg *graph.Frozen, terminals []int, s
 	}
 	msp.End()
 	// Prune: drop nodes whose removal keeps a cover (single pass, largest
-	// ids first for determinism). AppendOnes yields ascending ids — the
-	// same order the mutable path gets from its sorted node set.
+	// ids first for determinism; AppendOnes yields ascending ids).
 	rsp := tr.StartSpan("solve.render")
 	alive := nodes
 	order := alive.AppendOnes(sc.ints[:0])
@@ -723,7 +713,7 @@ func approximateFrozen(ctx context.Context, fg *graph.Frozen, terminals []int, s
 		if i&(cancelStride-1) == 0 {
 			if err := ctx.Err(); err != nil {
 				rsp.End()
-				return err
+				return Tree{}, err
 			}
 		}
 		v := order[i]
@@ -735,7 +725,7 @@ func approximateFrozen(ctx context.Context, fg *graph.Frozen, terminals []int, s
 			alive.Set(v)
 		}
 	}
-	err = spanningTreeBits(fg, alive, sc, t)
+	t, err := spanningTreeBits(fg, alive, sc)
 	rsp.End()
-	return err
+	return t, err
 }

@@ -19,29 +19,29 @@ import (
 // has its own tests in cancel_test.go).
 var ctx = context.Background()
 
-// assertSameTree fails unless the two trees are identical: same cover node
-// set and same spanning tree edges. The frozen path is built to reproduce
-// the mutable path bit-for-bit, not merely up to optimality.
-func assertSameTree(t *testing.T, label string, mutable, frozen steiner.Tree, err1, err2 error) {
+// assertSameTree fails unless the two answers are identical: same error
+// text, or same cover node set and same spanning tree edges in order — not
+// merely equally good.
+func assertSameTree(t *testing.T, label string, want, got steiner.Tree, err1, err2 error) {
 	t.Helper()
 	if (err1 == nil) != (err2 == nil) {
-		t.Fatalf("%s: error mismatch: mutable %v, frozen %v", label, err1, err2)
+		t.Fatalf("%s: error mismatch: want %v, got %v", label, err1, err2)
 	}
 	if err1 != nil {
 		if err1.Error() != err2.Error() {
-			t.Fatalf("%s: different errors: mutable %v, frozen %v", label, err1, err2)
+			t.Fatalf("%s: different errors: want %v, got %v", label, err1, err2)
 		}
 		return
 	}
-	if !mutable.Nodes.Equal(frozen.Nodes) {
-		t.Fatalf("%s: node sets differ: mutable %v, frozen %v", label, mutable.Nodes, frozen.Nodes)
+	if !want.Nodes.Equal(got.Nodes) {
+		t.Fatalf("%s: node sets differ: want %v, got %v", label, want.Nodes, got.Nodes)
 	}
-	if len(mutable.Edges) != len(frozen.Edges) {
+	if len(want.Edges) != len(got.Edges) {
 		t.Fatalf("%s: edge counts differ", label)
 	}
-	for i := range mutable.Edges {
-		if mutable.Edges[i] != frozen.Edges[i] {
-			t.Fatalf("%s: edge %d differs: mutable %v, frozen %v", label, i, mutable.Edges[i], frozen.Edges[i])
+	for i := range want.Edges {
+		if want.Edges[i] != got.Edges[i] {
+			t.Fatalf("%s: edge %d differs: want %v, got %v", label, i, want.Edges[i], got.Edges[i])
 		}
 	}
 }
@@ -84,18 +84,18 @@ func sortedNames(schemes map[string]*bipartite.Graph) []string {
 	return names
 }
 
+// The sweeps below replay the mutable-graph solvers' answers recorded in
+// testdata/answers.golden (see golden_test.go).
+
 func TestAlgorithm2FrozenMatchesMutableOnFixtures(t *testing.T) {
 	r := rand.New(rand.NewSource(51))
 	sweep := goldenSweep{name: "fixtures-algorithm2"}
 	schemes := fixtureSchemes()
 	for _, name := range sortedNames(schemes) {
-		g := schemes[name].G()
-		fg := g.Freeze()
-		for _, terms := range terminalSets(r, g.N()) {
-			want, err1 := steiner.Algorithm2(g, terms)
-			got, err2 := steiner.Algorithm2Frozen(ctx, fg, terms)
-			assertSameTree(t, name, want, got, err1, err2)
-			sweep.add(name, "Algorithm2", terms, want, err1)
+		fg := schemes[name].G().Freeze()
+		for _, terms := range terminalSets(r, fg.N()) {
+			got, err := steiner.Algorithm2FrozenShared(ctx, fg, terms, nil)
+			sweep.add(name, "Algorithm2", terms, got, err)
 		}
 	}
 	sweep.check(t)
@@ -106,13 +106,10 @@ func TestAlgorithm1FrozenMatchesMutableOnFixtures(t *testing.T) {
 	sweep := goldenSweep{name: "fixtures-algorithm1"}
 	schemes := fixtureSchemes()
 	for _, name := range sortedNames(schemes) {
-		b := schemes[name]
-		fb := b.Freeze()
-		for _, terms := range terminalSets(r, b.N()) {
-			want, err1 := steiner.Algorithm1(b, terms)
-			got, err2 := steiner.Algorithm1Frozen(ctx, fb, terms)
-			assertSameTree(t, name, want, got, err1, err2)
-			sweep.add(name, "Algorithm1", terms, want, err1)
+		fb := schemes[name].Freeze()
+		for _, terms := range terminalSets(r, fb.N()) {
+			got, err := steiner.Algorithm1FrozenShared(ctx, fb, terms, nil)
+			sweep.add(name, "Algorithm1", terms, got, err)
 		}
 	}
 	sweep.check(t)
@@ -132,76 +129,54 @@ func TestFrozenSolversMatchMutableRandom(t *testing.T) {
 		default:
 			b = gen.RandomBipartite(r, 4+r.Intn(10), 4+r.Intn(10), 0.3)
 		}
-		g := b.G()
 		fb := b.Freeze()
 		fg := fb.G()
-		for _, terms := range terminalSets(r, g.N()) {
-			want, err1 := steiner.Algorithm2(g, terms)
-			got, err2 := steiner.Algorithm2Frozen(ctx, fg, terms)
-			assertSameTree(t, "Algorithm2", want, got, err1, err2)
-			sweep.add(scheme, "Algorithm2", terms, want, err1)
+		for _, terms := range terminalSets(r, fg.N()) {
+			got, err := steiner.Algorithm2FrozenShared(ctx, fg, terms, nil)
+			sweep.add(scheme, "Algorithm2", terms, got, err)
 
-			want, err1 = steiner.Algorithm1(b, terms)
-			got, err2 = steiner.Algorithm1Frozen(ctx, fb, terms)
-			assertSameTree(t, "Algorithm1", want, got, err1, err2)
-			sweep.add(scheme, "Algorithm1", terms, want, err1)
+			got, err = steiner.Algorithm1FrozenShared(ctx, fb, terms, nil)
+			sweep.add(scheme, "Algorithm1", terms, got, err)
 
-			order := r.Perm(g.N())
-			want, err1 = steiner.EliminateOrdered(g, terms, order)
-			got, err2 = steiner.EliminateOrderedFrozen(ctx, fg, terms, order)
-			assertSameTree(t, "EliminateOrdered", want, got, err1, err2)
-			sweep.add(scheme, "EliminateOrdered", terms, want, err1)
+			order := r.Perm(fg.N())
+			got, err = steiner.EliminateOrderedFrozen(ctx, fg, terms, order)
+			sweep.add(scheme, "EliminateOrdered", terms, got, err)
 
 			if len(terms) <= 6 {
-				want, err1 = steiner.Exact(g, terms)
-				got, err2 = steiner.ExactFrozen(ctx, fg, terms)
-				assertSameTree(t, "Exact", want, got, err1, err2)
-				sweep.add(scheme, "Exact", terms, want, err1)
+				got, err = steiner.ExactFrozenShared(ctx, fg, terms, nil)
+				sweep.add(scheme, "Exact", terms, got, err)
 			}
 
-			want, err1 = steiner.Approximate(g, terms)
-			got, err2 = steiner.ApproximateFrozen(ctx, fg, terms)
-			assertSameTree(t, "Approximate", want, got, err1, err2)
-			sweep.add(scheme, "Approximate", terms, want, err1)
+			got, err = steiner.ApproximateFrozenShared(ctx, fg, terms, nil)
+			sweep.add(scheme, "Approximate", terms, got, err)
 		}
 	}
 	sweep.check(t)
 }
 
 func TestFrozenSolverErrors(t *testing.T) {
-	// Two disconnected arcs: terminals spanning components must fail the
-	// same way on both paths.
+	// Two disconnected arcs: terminals spanning components must fail with
+	// the sentinel error on every solver.
 	b := bipartite.New()
 	a1, a2 := b.AddV1("a1"), b.AddV1("a2")
 	r1, r2 := b.AddV2("r1"), b.AddV2("r2")
 	b.AddEdge(a1, r1)
 	b.AddEdge(a2, r2)
 	fb := b.Freeze()
-	if _, err := steiner.Algorithm2Frozen(ctx, fb.G(), []int{a1, a2}); !errors.Is(err, steiner.ErrDisconnectedTerminals) {
-		t.Errorf("Algorithm2Frozen across components: %v", err)
+	if _, err := steiner.Algorithm2FrozenShared(ctx, fb.G(), []int{a1, a2}, nil); !errors.Is(err, steiner.ErrDisconnectedTerminals) {
+		t.Errorf("Algorithm2FrozenShared across components: %v", err)
 	}
-	if _, err := steiner.Algorithm1Frozen(ctx, fb, []int{a1, a2}); !errors.Is(err, steiner.ErrDisconnectedTerminals) {
-		t.Errorf("Algorithm1Frozen across components: %v", err)
+	if _, err := steiner.Algorithm1FrozenShared(ctx, fb, []int{a1, a2}, nil); !errors.Is(err, steiner.ErrDisconnectedTerminals) {
+		t.Errorf("Algorithm1FrozenShared across components: %v", err)
 	}
-	if _, err := steiner.ExactFrozen(ctx, fb.G(), []int{a1, a2}); !errors.Is(err, steiner.ErrDisconnectedTerminals) {
-		t.Errorf("ExactFrozen across components: %v", err)
+	if _, err := steiner.ExactFrozenShared(ctx, fb.G(), []int{a1, a2}, nil); !errors.Is(err, steiner.ErrDisconnectedTerminals) {
+		t.Errorf("ExactFrozenShared across components: %v", err)
 	}
-	if _, err := steiner.ApproximateFrozen(ctx, fb.G(), []int{a1, a2}); !errors.Is(err, steiner.ErrDisconnectedTerminals) {
-		t.Errorf("ApproximateFrozen across components: %v", err)
+	if _, err := steiner.ApproximateFrozenShared(ctx, fb.G(), []int{a1, a2}, nil); !errors.Is(err, steiner.ErrDisconnectedTerminals) {
+		t.Errorf("ApproximateFrozenShared across components: %v", err)
 	}
-	if _, err := steiner.Algorithm2Frozen(ctx, fb.G(), nil); err == nil {
-		t.Error("Algorithm2Frozen on empty terminals should fail")
-	}
-
-	// A non-alpha-acyclic component must be rejected by Algorithm 1 on both
-	// paths.
-	cyc := fixtures.Fig3c()
-	terms := cyc.G().IDs("A", "B")
-	if _, err := steiner.Algorithm1(cyc, terms); !errors.Is(err, steiner.ErrNotAlphaAcyclic) {
-		t.Skipf("fixture unexpectedly alpha-acyclic: %v", err)
-	}
-	if _, err := steiner.Algorithm1Frozen(ctx, cyc.Freeze(), terms); !errors.Is(err, steiner.ErrNotAlphaAcyclic) {
-		t.Errorf("Algorithm1Frozen should reject non-alpha-acyclic component, got %v", err)
+	if _, err := steiner.Algorithm2FrozenShared(ctx, fb.G(), nil, nil); err == nil {
+		t.Error("Algorithm2FrozenShared on empty terminals should fail")
 	}
 }
 
@@ -215,7 +190,7 @@ func TestFrozenSolversConcurrent(t *testing.T) {
 	var termSets [][]int
 	var wants []steiner.Tree
 	for _, terms := range terminalSets(r, fg.N()) {
-		if want, err := steiner.Algorithm2Frozen(ctx, fg, terms); err == nil {
+		if want, err := steiner.Algorithm2FrozenShared(ctx, fg, terms, nil); err == nil {
 			termSets = append(termSets, terms)
 			wants = append(wants, want)
 		}
@@ -228,7 +203,7 @@ func TestFrozenSolversConcurrent(t *testing.T) {
 		go func(seed int) {
 			for i := 0; i < 20; i++ {
 				k := (seed + i) % len(termSets)
-				got, err := steiner.Algorithm2Frozen(ctx, fg, termSets[k])
+				got, err := steiner.Algorithm2FrozenShared(ctx, fg, termSets[k], nil)
 				if err != nil {
 					done <- err
 					return
@@ -271,10 +246,10 @@ func componentTerminalSets(r *rand.Rand, fb *bipartite.Frozen) [][]int {
 }
 
 // TestAlgorithm1MemoMatchesMutable holds Algorithm 1's memoized Lemma 1
-// orderings to the mutable path, which rebuilds the ordering on the
-// induced subgraph every time. Every query is asked twice in shuffled
-// order, so each component's ordering is built by whichever query reaches
-// it first and read back by all the others.
+// orderings to the recorded answers of the mutable path, which rebuilt the
+// ordering on the induced subgraph every time. Every query is asked twice
+// in shuffled order, so each component's ordering is built by whichever
+// query reaches it first and read back by all the others.
 func TestAlgorithm1MemoMatchesMutable(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	schemes := fixtureSchemes()
@@ -286,28 +261,21 @@ func TestAlgorithm1MemoMatchesMutable(t *testing.T) {
 	schemes["tree"] = gen.RandomTree(r, 150)
 	schemes["grid"] = gen.GridBipartite(3, 4)
 	schemes["union"] = gen.DisjointUnion(schemes["alpha0"], schemes["grid"], gen.RandomTree(r, 40))
-	names := make([]string, 0, len(schemes))
-	for name := range schemes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	sweep := goldenSweep{name: "memo"}
 	var solved, rejected int
-	for _, name := range names {
+	for _, name := range sortedNames(schemes) {
 		b := schemes[name]
 		fb := b.Freeze()
 		qs := append(terminalSets(r, b.N()), componentTerminalSets(r, fb)...)
 		qs = append(qs, qs...)
 		r.Shuffle(len(qs), func(i, j int) { qs[i], qs[j] = qs[j], qs[i] })
 		for _, terms := range qs {
-			want, err1 := steiner.Algorithm1(b, terms)
-			got, err2 := steiner.Algorithm1Frozen(ctx, fb, terms)
-			assertSameTree(t, fmt.Sprintf("%s %v", name, terms), want, got, err1, err2)
-			sweep.add(name, "Algorithm1", terms, want, err1)
+			got, err := steiner.Algorithm1FrozenShared(ctx, fb, terms, nil)
+			sweep.add(name, "Algorithm1", terms, got, err)
 			switch {
-			case err2 == nil:
+			case err == nil:
 				solved++
-			case errors.Is(err2, steiner.ErrNotAlphaAcyclic):
+			case errors.Is(err, steiner.ErrNotAlphaAcyclic):
 				rejected++
 			}
 		}

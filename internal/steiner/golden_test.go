@@ -1,11 +1,9 @@
 package steiner_test
 
 import (
-	"bufio"
 	"fmt"
 	"os"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/steiner"
@@ -15,40 +13,9 @@ import (
 // edge list in order, or error text — of every case of the solver sweeps
 // in frozen_test.go and boundary_test.go. The answers were recorded from
 // the mutable-graph solvers, which the frozen ones reproduced bit for bit,
-// so tie-breaking stays pinned now that only the frozen solvers exist.
+// so they pin tie-breaking as well as optimality.
 // Each sweep is one section of the file: lines whose first field is the
 // sweep's name, in the order the sweep produces them.
-
-var golden struct {
-	once  sync.Once
-	lines []string
-	err   error
-}
-
-// goldenLines returns the non-comment lines of testdata/answers.golden.
-func goldenLines(t *testing.T) []string {
-	t.Helper()
-	golden.once.Do(func() {
-		f, err := os.Open("testdata/answers.golden")
-		if err != nil {
-			golden.err = err
-			return
-		}
-		defer f.Close()
-		sc := bufio.NewScanner(f)
-		sc.Buffer(nil, 1<<20)
-		for sc.Scan() {
-			if line := sc.Text(); line != "" && !strings.HasPrefix(line, "#") {
-				golden.lines = append(golden.lines, line)
-			}
-		}
-		golden.err = sc.Err()
-	})
-	if golden.err != nil {
-		t.Fatal(golden.err)
-	}
-	return golden.lines
-}
 
 // answerLine renders one case: the key (sweep, scheme, solver, terminals),
 // then the node set and edge list, or the error text.
@@ -87,8 +54,12 @@ func (s *goldenSweep) add(scheme, solver string, terms []int, tree steiner.Tree,
 // the golden file.
 func (s *goldenSweep) check(t *testing.T) {
 	t.Helper()
+	data, err := os.ReadFile("testdata/answers.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var want []string
-	for _, line := range goldenLines(t) {
+	for _, line := range strings.Split(string(data), "\n") {
 		if strings.HasPrefix(line, s.name+" ") {
 			want = append(want, line)
 		}

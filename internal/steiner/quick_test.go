@@ -1,7 +1,6 @@
 package steiner_test
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -18,7 +17,7 @@ func TestQuickExactNeverBeatenByAnyCover(t *testing.T) {
 		b := gen.RandomConnectedBipartite(r, 2+r.Intn(3), 2+r.Intn(3), 0.4)
 		g := b.G()
 		terms := r.Perm(g.N())[:2]
-		tree, err := steiner.Exact(g, terms)
+		tree, err := steiner.ExactFrozenShared(ctx, g.Freeze(), terms, nil)
 		if err != nil {
 			return true // disconnected terminals
 		}
@@ -41,14 +40,15 @@ func TestQuickAlgorithmsReturnValidTrees(t *testing.T) {
 			return true
 		}
 		terms := r.Perm(g.N())[:2]
-		t1, err := steiner.Algorithm1(b, terms)
+		fb := b.Freeze()
+		t1, err := steiner.Algorithm1FrozenShared(ctx, fb, terms, nil)
 		if err != nil {
 			return false
 		}
 		if t1.Validate(g, terms) != nil {
 			return false
 		}
-		t2, err := steiner.Algorithm2(g, terms)
+		t2, err := steiner.Algorithm2FrozenShared(ctx, fb.G(), terms, nil)
 		if err != nil {
 			return false
 		}
@@ -69,7 +69,7 @@ func TestQuickEliminationIsNonredundant(t *testing.T) {
 		b := gen.RandomConnectedBipartite(r, 2+r.Intn(3), 2+r.Intn(3), 0.4)
 		g := b.G()
 		terms := r.Perm(g.N())[:2]
-		tree, err := steiner.EliminateOrdered(g, terms, r.Perm(g.N()))
+		tree, err := steiner.EliminateOrderedFrozen(ctx, g.Freeze(), terms, r.Perm(g.N()))
 		if err != nil {
 			return true
 		}
@@ -86,7 +86,7 @@ func TestQuickRankedCoversSortedAndValid(t *testing.T) {
 		b := gen.RandomConnectedBipartite(r, 2+r.Intn(3), 2+r.Intn(3), 0.4)
 		g := b.G()
 		terms := r.Perm(g.N())[:2]
-		covers, err := steiner.RankedCovers(context.Background(), g, terms, g.N(), 6)
+		covers, err := steiner.RankedCovers(ctx, g, terms, g.N(), 6)
 		if err != nil {
 			return false
 		}

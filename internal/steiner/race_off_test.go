@@ -3,6 +3,6 @@
 package steiner_test
 
 // raceEnabled reports whether the race detector instruments this build;
-// the zero-alloc test skips under it (race mode makes sync.Pool drop
+// the allocation pins skip under it (race mode makes sync.Pool drop
 // items pseudo-randomly, so pooled scratch legitimately reallocates).
 const raceEnabled = false

@@ -31,7 +31,7 @@ func TestExactAgainstReference(t *testing.T) {
 			k = g.N()
 		}
 		terms := pickTerminals(r, g.N(), k)
-		tree, err := steiner.Exact(g, terms)
+		tree, err := steiner.ExactFrozenShared(ctx, g.Freeze(), terms, nil)
 		if err != nil {
 			t.Fatalf("Exact failed on %v: %v", g, err)
 		}
@@ -48,15 +48,16 @@ func TestExactAgainstReference(t *testing.T) {
 func TestExactEdgeCases(t *testing.T) {
 	g := graph.NewWithNodes("a", "b")
 	g.AddEdge(0, 1)
-	tree, err := steiner.Exact(g, []int{0})
+	fg := g.Freeze()
+	tree, err := steiner.ExactFrozenShared(ctx, fg, []int{0}, nil)
 	if err != nil || tree.Nodes.Len() != 1 {
 		t.Errorf("singleton terminal: %v, %v", tree, err)
 	}
-	if _, err := steiner.Exact(g, nil); err == nil {
+	if _, err := steiner.ExactFrozenShared(ctx, fg, nil, nil); err == nil {
 		t.Error("empty terminals accepted")
 	}
 	g.AddNode("iso")
-	if _, err := steiner.Exact(g, []int{0, 2}); !errors.Is(err, steiner.ErrDisconnectedTerminals) {
+	if _, err := steiner.ExactFrozenShared(ctx, g.Freeze(), []int{0, 2}, nil); !errors.Is(err, steiner.ErrDisconnectedTerminals) {
 		t.Errorf("expected ErrDisconnectedTerminals, got %v", err)
 	}
 }
@@ -83,7 +84,7 @@ func TestAlgorithm2OnChordal62(t *testing.T) {
 			k = g.N()
 		}
 		terms := pickTerminals(r, g.N(), k)
-		tree, err := steiner.Algorithm2(g, terms)
+		tree, err := steiner.Algorithm2FrozenShared(ctx, g.Freeze(), terms, nil)
 		if err != nil {
 			t.Fatalf("Algorithm2 failed: %v", err)
 		}
@@ -114,11 +115,12 @@ func TestCorollary5AllOrderingsGood(t *testing.T) {
 			continue
 		}
 		checked++
+		fg := g.Freeze()
 		terms := pickTerminals(r, g.N(), 2+r.Intn(2))
 		want := reference.SteinerMinimumNodes(g, terms)
 		for trial := 0; trial < 6; trial++ {
 			order := r.Perm(g.N())
-			tree, err := steiner.EliminateOrdered(g, terms, order)
+			tree, err := steiner.EliminateOrderedFrozen(ctx, fg, terms, order)
 			if err != nil {
 				t.Fatalf("EliminateOrdered failed: %v", err)
 			}
@@ -198,7 +200,7 @@ func TestAlgorithm1OnAlphaAcyclic(t *testing.T) {
 			k = g.N()
 		}
 		terms := pickTerminals(r, g.N(), k)
-		tree, err := steiner.Algorithm1(b, terms)
+		tree, err := steiner.Algorithm1FrozenShared(ctx, b.Freeze(), terms, nil)
 		if err != nil {
 			t.Fatalf("Algorithm1 failed on %v: %v", h, err)
 		}
@@ -228,7 +230,7 @@ func TestAlgorithm1RejectsNonAcyclic(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		b.AddEdge(ids[i], ids[(i+1)%8])
 	}
-	_, err := steiner.Algorithm1(b, []int{ids[0], ids[4]})
+	_, err := steiner.Algorithm1FrozenShared(ctx, b.Freeze(), []int{ids[0], ids[4]}, nil)
 	if !errors.Is(err, steiner.ErrNotAlphaAcyclic) {
 		t.Errorf("expected ErrNotAlphaAcyclic, got %v", err)
 	}
@@ -240,14 +242,15 @@ func TestAlgorithm1DisconnectedTerminals(t *testing.T) {
 	w := b.AddV2("w")
 	b.AddEdge(a, w)
 	c := b.AddV1("c")
-	if _, err := steiner.Algorithm1(b, []int{a, c}); !errors.Is(err, steiner.ErrDisconnectedTerminals) {
+	if _, err := steiner.Algorithm1FrozenShared(ctx, b.Freeze(), []int{a, c}, nil); !errors.Is(err, steiner.ErrDisconnectedTerminals) {
 		t.Errorf("expected ErrDisconnectedTerminals, got %v", err)
 	}
 }
 
 func TestLemma1OrderingProperties(t *testing.T) {
-	// The ordering of Lemma 1: every suffix plus its neighbourhood induces
-	// a connected subgraph, and the reversed running intersection property
+	// The ordering of Lemma 1, as bipartite.Frozen.Lemma1Order builds it
+	// for a component: every suffix plus its neighbourhood induces a
+	// connected subgraph, and the reversed running intersection property
 	// holds.
 	r := rand.New(rand.NewSource(127))
 	checked := 0
@@ -259,9 +262,11 @@ func TestLemma1OrderingProperties(t *testing.T) {
 			continue
 		}
 		checked++
-		w, err := steiner.Lemma1Ordering(b)
-		if err != nil {
-			t.Fatalf("ordering failed: %v", err)
+		comp := graph.NewBits(g.N())
+		comp.FillN(g.N())
+		w, ok := b.Freeze().Lemma1Order(comp)
+		if !ok {
+			t.Fatalf("no Lemma 1 ordering on alpha-acyclic %v", h)
 		}
 		if len(w) != len(b.V2()) {
 			t.Fatalf("ordering misses V2 nodes")
@@ -276,7 +281,7 @@ func TestLemma1OrderingProperties(t *testing.T) {
 					alive[u] = true
 				}
 			}
-			if !g.ConnectedAlive(alive) {
+			if !g.Covers(alive, suffix) {
 				t.Fatalf("suffix %d not connected on %v (order %v)", i, g, w)
 			}
 		}
@@ -315,7 +320,7 @@ func TestApproximateIsValidAndBounded(t *testing.T) {
 			k = g.N()
 		}
 		terms := pickTerminals(r, g.N(), k)
-		tree, err := steiner.Approximate(g, terms)
+		tree, err := steiner.ApproximateFrozenShared(ctx, g.Freeze(), terms, nil)
 		if err != nil {
 			t.Fatalf("Approximate failed: %v", err)
 		}
@@ -425,6 +430,7 @@ func TestTheorem6Fig11(t *testing.T) {
 	if chordality.Is62Chordal(b) {
 		t.Fatal("Fig 11 graph must not be (6,2)-chordal (else Corollary 5 would apply)")
 	}
+	fg := g.Freeze()
 	for _, tc := range fixtures.Fig11Cases() {
 		lead := g.MustID(tc.Lead)
 		terms := g.IDs(tc.Terminals...)
@@ -434,7 +440,7 @@ func TestTheorem6Fig11(t *testing.T) {
 		// adversarial "lead first" one.
 		for trial := 0; trial < 8; trial++ {
 			order := leadFirstOrder(g, lead, trial)
-			tree, err := steiner.EliminateOrdered(g, terms, order)
+			tree, err := steiner.EliminateOrderedFrozen(ctx, fg, terms, order)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -469,7 +475,7 @@ func TestFig11SomeOrderingFindsOptimumPerCase(t *testing.T) {
 	terms := g.IDs("3", "C", "4", "D")
 	opt := reference.SteinerMinimumNodes(g, terms)
 	order := g.IDs("1", "2", "B", "E", "F", "5", "6", "A", "C", "D", "3", "4")
-	tree, err := steiner.EliminateOrdered(g, terms, order)
+	tree, err := steiner.EliminateOrderedFrozen(ctx, g.Freeze(), terms, order)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,14 +520,15 @@ func TestAlgorithm1PseudoVsSteinerGap(t *testing.T) {
 		b.AddEdge(arc[0], arc[1])
 	}
 	terms := []int{a, bb}
-	tree, err := steiner.Algorithm1(b, terms)
+	fb := b.Freeze()
+	tree, err := steiner.Algorithm1FrozenShared(ctx, fb, terms, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := steiner.V2Count(b, tree), reference.MinimumV2Count(b, terms); got != want || got != 2 {
 		t.Fatalf("V2 count %d, want %d (and 2)", got, want)
 	}
-	exact, err := steiner.Exact(b.G(), terms)
+	exact, err := steiner.ExactFrozenShared(ctx, fb.G(), terms, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

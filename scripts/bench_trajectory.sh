@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Pinned benchmark trajectory: run the serving-path benchmarks every PR
-# cares about (mutable-vs-frozen solver cost, hot cache serving, batch
+# cares about (the frozen solvers' per-query cost, hot cache serving, batch
 # throughput, and the bit-parallel kernels against their CSR fallbacks),
 # then fold them together with a chordalctl load-harness run into one
 # schema-versioned BENCH_<tag>.json so perf changes leave a diffable,
@@ -29,16 +29,28 @@ RAW=$(mktemp)
 MICRO=$(mktemp)
 trap 'rm -f "$RAW" "$MICRO"' EXIT
 
-# Each invocation pins one package's benchmark set; -run 'xxx' skips the
-# tests so only benchmarks execute.
-{
-  go test -run 'xxx' -bench 'BenchmarkSteinerMutableVsFrozen|BenchmarkServiceThroughput' \
-    -benchmem -benchtime "$BENCHTIME" -timeout 15m .
-  go test -run 'xxx' -bench 'BenchmarkServeHotParallel' \
-    -benchmem -benchtime "$BENCHTIME" -timeout 15m ./internal/core
-  go test -run 'xxx' -bench 'BenchmarkKernel' \
-    -benchmem -benchtime "$BENCHTIME" -timeout 15m ./internal/graph
-} | tee "$RAW"
+# Each entry pins one package's benchmark set as "package:pattern", the
+# pattern's |-alternatives being benchmark names; -run 'xxx' skips the
+# tests so only benchmarks execute. Every name must match at least one
+# benchmark, or a rename would silently drop its rows from the file.
+PINNED=(
+  ".:BenchmarkSteinerFrozen|BenchmarkServiceThroughput"
+  "./internal/core:BenchmarkServeHotParallel"
+  "./internal/graph:BenchmarkKernel"
+)
+for entry in "${PINNED[@]}"; do
+  go test -run 'xxx' -bench "${entry#*:}" \
+    -benchmem -benchtime "$BENCHTIME" -timeout 15m "${entry%%:*}"
+done | tee "$RAW"
+for entry in "${PINNED[@]}"; do
+  IFS='|' read -ra names <<< "${entry#*:}"
+  for name in "${names[@]}"; do
+    if ! grep -q "^${name}" "$RAW"; then
+      echo "bench_trajectory: pinned pattern $name matched no benchmark" >&2
+      exit 1
+    fi
+  done
+done
 
 # Distill "BenchmarkX/sub-8  N  ns/op  B/op  allocs/op" lines into JSON.
 # The -<GOMAXPROCS> suffix is stripped so trajectories diff cleanly across
