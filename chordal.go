@@ -43,10 +43,10 @@
 //	results := svc.ConnectBatch(ctx, queries)  // answers in query order
 //
 // The cache (internal/cache) is split into shards selected by a hash of
-// the canonical key. A hit takes no lock: it reads an immutable index
-// that each shard republishes atomically on every write, and refreshes
-// the entry's recency with an atomic stamp. Misses and fills serialize on
-// their shard's mutex. When a shard is full, eviction weighs sampled
+// the canonical key. A hit takes no lock: it probes the shard's index of
+// atomic slots, and refreshes the entry's recency with an atomic stamp.
+// Misses and fills serialize on their shard's mutex and update the index
+// in place. When a shard is full, eviction weighs sampled
 // recency against the recorded cost of recomputing each entry, so an
 // expensive exact answer outlives a cheap one seen as recently.
 // WithCacheShards tunes the shard count (default GOMAXPROCS rounded up to

@@ -2,17 +2,25 @@
 // core.Service's answer cache.
 //
 // A Cache is a fixed set of shards selected by an FNV-1a hash of the
-// key. Each shard owns a mutex and an *immutable* index — a
-// map[string]*entry republished wholesale through an atomic pointer on
-// every mutation (RCU-style copy-on-write). The hit path loads the
-// published pointer, looks up the key, and refreshes recency with a
+// key. Each shard owns a mutex and an open-addressing index: a
+// power-of-two array of atomic entry pointers, probed linearly from the
+// slot the top bits of the hash select. The hit path loads the index
+// through an atomic pointer, probes it, and refreshes recency with a
 // plain atomic store: it never acquires the shard mutex, so a warm
 // high-QPS serving path scales with cores instead of queueing on locks
 // (LockAcquisitions instruments exactly this — the concurrency tests
 // assert it stays flat across hit-only workloads). Writers — misses,
-// warm fills, removals, cost fills — serialize on the shard mutex,
-// clone the index, mutate the clone and publish it; readers always see
-// either the old or the new complete index, never a partial one.
+// warm fills, removals, cost fills — serialize on the shard mutex and
+// update the index in place: an insert stores its entry into one free
+// or tombstoned slot, and an eviction or removal stores a tombstone
+// sentinel into its entry's slot. A slot never returns to empty, so a
+// probe chain a reader is walking is never cut short. Beside the index,
+// each shard keeps a dense slice of its resident entries that only
+// writers touch, which the eviction scan walks. When entries plus
+// tombstones would pass ¾ of the slots, the writer builds a fresh index
+// at about twice the resident count and publishes it through the atomic
+// pointer, so the index grows with occupancy, never with capacity, and a
+// miss costs amortized O(1) index work plus the eviction scan.
 // Lookups of the *same* absent key still meet on one shard lock, which
 // is what gives the Service its in-flight deduplication.
 //
@@ -43,7 +51,7 @@
 // The cost ledger is exposed per shard (ShardStat) and cache-wide
 // (CostStats): Added − Evicted − Removed equals the cost resident in the
 // cache, and Saved accumulates the recompute cost of every hit — the
-// solver time the cache has turned into map lookups. Warm fills (Add,
+// solver time the cache has turned into index probes. Warm fills (Add,
 // used by snapshot warmup restore and Registry epoch-swap carry-over)
 // count separately from misses, so
 //

@@ -2,8 +2,10 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,7 +21,7 @@ type box struct {
 
 // refCache is the mutex-guarded reference implementation: one global
 // lock, one plain map, the same conditional-op semantics as Cache but
-// none of the published-index machinery. The sequential equivalence test
+// none of the lock-free index machinery. The sequential equivalence test
 // replays an op tape against both and reconciles every outcome.
 type refCache struct {
 	mu    sync.Mutex
@@ -82,9 +84,9 @@ var harnessShardCounts = []int{1, 2, 0, 64}
 // and the mutex-guarded reference, reconciling every outcome per key:
 // same hit/insert decision, same value identity, same conditional-remove
 // verdict, same final occupancy. Capacity exceeds the key space so no
-// eviction fires — eviction *policy* is pinned separately by
-// TestSingleShardIsExactLRU and TestCostAwareEviction; this test pins
-// the published-index semantics against the one-lock model.
+// eviction fires — eviction order is pinned separately by
+// TestEvictionEquivalenceVsReference; this test pins the lock-free index
+// semantics against the one-lock model.
 func TestSequentialEquivalenceVsReference(t *testing.T) {
 	const keys = 64
 	for _, shards := range harnessShardCounts {
@@ -146,6 +148,293 @@ func TestSequentialEquivalenceVsReference(t *testing.T) {
 	}
 }
 
+// policyRef is the eviction-order reference model: per shard (assigned
+// by the cache's own ShardIndex), a plain map of entries carrying the
+// same seq, stamp and cost, the same insert-and-every-16th-hit tick, and
+// the eviction rule written out again — minimum stamp + 8·log₂(cost in
+// 2¹⁹ ns units), oldest insert on ties — applied by a scan of the map.
+type policyRef struct {
+	perShard int
+	shardOf  func(string) int
+	shards   []policyShard
+	victims  []string
+}
+
+type policyShard struct {
+	table map[string]*policyEntry
+	tick  int64
+	stats ShardStat // Entries unused: len(table) is the occupancy
+}
+
+type policyEntry struct {
+	val              *box
+	seq, stamp, cost int64
+}
+
+func newPolicyRef(c *Cache[*box]) *policyRef {
+	p := &policyRef{perShard: c.PerShard(), shardOf: c.ShardIndex, shards: make([]policyShard, c.Shards())}
+	for i := range p.shards {
+		p.shards[i].table = make(map[string]*policyEntry)
+	}
+	return p
+}
+
+func (s *policyShard) hit(e *policyEntry) {
+	s.stats.Hits++
+	if s.stats.Hits%16 == 0 {
+		s.tick++
+	}
+	e.stamp = s.tick + 1
+	if e.cost > 0 {
+		s.stats.CostSaved += uint64(e.cost)
+	}
+}
+
+func (p *policyRef) insert(s *policyShard, key string, v *box, cost int64) {
+	s.tick++
+	if cost > 0 {
+		s.stats.CostAdded += uint64(cost)
+	}
+	if len(s.table) >= p.perShard {
+		var vk string
+		var ve *policyEntry
+		var vScore int64
+		for k, e := range s.table {
+			score := e.stamp
+			if e.cost > 0 {
+				score += int64(8 * bits.Len64(uint64(e.cost)>>19))
+			}
+			if ve == nil || score < vScore || (score == vScore && e.seq < ve.seq) {
+				vk, ve, vScore = k, e, score
+			}
+		}
+		delete(s.table, vk)
+		s.stats.Evictions++
+		if ve.cost > 0 {
+			s.stats.CostEvicted += uint64(ve.cost)
+		}
+		p.victims = append(p.victims, vk)
+	}
+	s.table[key] = &policyEntry{val: v, seq: s.tick, stamp: s.tick, cost: cost}
+}
+
+func (p *policyRef) getOrAdd(key string, v *box) (*box, bool) {
+	s := &p.shards[p.shardOf(key)]
+	if e, ok := s.table[key]; ok {
+		s.hit(e)
+		return e.val, true
+	}
+	s.stats.Misses++
+	p.insert(s, key, v, 0)
+	return v, false
+}
+
+func (p *policyRef) get(key string) (*box, bool) {
+	s := &p.shards[p.shardOf(key)]
+	if e, ok := s.table[key]; ok {
+		s.hit(e)
+		return e.val, true
+	}
+	return nil, false
+}
+
+func (p *policyRef) add(key string, v *box, cost int64) bool {
+	s := &p.shards[p.shardOf(key)]
+	if _, ok := s.table[key]; ok {
+		return false
+	}
+	s.stats.WarmFills++
+	p.insert(s, key, v, cost)
+	return true
+}
+
+func (p *policyRef) setCost(key string, v *box, cost int64) bool {
+	s := &p.shards[p.shardOf(key)]
+	e, ok := s.table[key]
+	if cost <= 0 || !ok || e.val != v || e.cost != 0 {
+		return false
+	}
+	e.cost = cost
+	s.stats.CostAdded += uint64(cost)
+	return true
+}
+
+func (p *policyRef) remove(key string, v *box) bool {
+	s := &p.shards[p.shardOf(key)]
+	e, ok := s.table[key]
+	if !ok || e.val != v {
+		return false
+	}
+	delete(s.table, key)
+	if e.cost > 0 {
+		s.stats.CostRemoved += uint64(e.cost)
+	}
+	return true
+}
+
+// resident is one key's state as Range reports it.
+type resident struct {
+	val  *box
+	cost int64
+}
+
+// TestEvictionEquivalenceVsReference replays a randomized tape of 20k
+// GetOrAdd / Get / Add / Remove / SetCost ops, with a key space larger
+// than the capacity so most inserts evict, against the cache and
+// policyRef, and after every op requires the same outcome, the same
+// victim, and the same Len, Occupancy, ShardStats, CostStats and Range
+// contents. Per-shard capacities {1, 3, 16} over {1, 2} shards put the
+// tape through many index rebuilds, tombstone reuses and the
+// single-slot start.
+func TestEvictionEquivalenceVsReference(t *testing.T) {
+	costs := []int64{1_000, 400_000, 600_000, 5_000_000, 80_000_000}
+	for _, shards := range []int{1, 2} {
+		for _, perShard := range []int{1, 3, 16} {
+			t.Run(fmt.Sprintf("shards=%d/perShard=%d", shards, perShard), func(t *testing.T) {
+				c := New[*box](shards*perShard, shards)
+				if c.PerShard() != perShard {
+					t.Fatalf("geometry: perShard %d, want %d", c.PerShard(), perShard)
+				}
+				ref := newPolicyRef(c)
+				keys := 3*shards*perShard + 2
+				r := rand.New(rand.NewSource(int64(19*shards + perShard)))
+				prev := map[string]resident{}
+				gen := 0
+				for op := 0; op < 20000; op++ {
+					victims := len(ref.victims)
+					removed := ""
+					// Squaring skews the draw toward low keys, so hits
+					// refresh stamps between evictions.
+					f := r.Float64()
+					key := fmt.Sprintf("k%03d", int(f*f*float64(keys)))
+					var what string
+					switch r.Intn(8) {
+					case 0, 1, 2: // GetOrAdd
+						gen++
+						fresh := &box{key: key, gen: gen}
+						got, hit := c.GetOrAdd(key, func() *box { return fresh })
+						want, refHit := ref.getOrAdd(key, fresh)
+						what = fmt.Sprintf("GetOrAdd(%q) = (%v, %v), reference (%v, %v)", key, got.gen, hit, want.gen, refHit)
+						if got != want || hit != refHit {
+							t.Fatalf("op %d: %s", op, what)
+						}
+					case 3: // Get
+						got, ok := c.Get(key)
+						want, refOK := ref.get(key)
+						what = fmt.Sprintf("Get(%q) = (%p, %v), reference (%p, %v)", key, got, ok, want, refOK)
+						if got != want || ok != refOK {
+							t.Fatalf("op %d: %s", op, what)
+						}
+					case 4: // Add (warm fill) with a recorded cost
+						gen++
+						fresh := &box{key: key, gen: gen}
+						cost := costs[r.Intn(len(costs))]
+						ins, refIns := c.Add(key, fresh, cost), ref.add(key, fresh, cost)
+						what = fmt.Sprintf("Add(%q, %d) = %v, reference %v", key, cost, ins, refIns)
+						if ins != refIns {
+							t.Fatalf("op %d: %s", op, what)
+						}
+					case 5, 6: // SetCost on the current value, or on a stale one
+						v := prev[key].val
+						if v == nil || r.Intn(4) == 0 {
+							v = &box{key: key, gen: -1}
+						}
+						cost := costs[r.Intn(len(costs))]
+						set, refSet := c.SetCost(key, v, cost), ref.setCost(key, v, cost)
+						what = fmt.Sprintf("SetCost(%q, %d) = %v, reference %v", key, cost, set, refSet)
+						if set != refSet {
+							t.Fatalf("op %d: %s", op, what)
+						}
+					case 7: // Remove the current value, or a stale one
+						v := prev[key].val
+						if v == nil || r.Intn(2) == 0 {
+							v = &box{key: key, gen: -1}
+						}
+						rem, refRem := c.Remove(key, v), ref.remove(key, v)
+						what = fmt.Sprintf("Remove(%q) = %v, reference %v", key, rem, refRem)
+						if rem != refRem {
+							t.Fatalf("op %d: %s", op, what)
+						}
+						if rem {
+							removed = key
+						}
+					}
+					now := map[string]resident{}
+					c.Range(func(k string, v *box, cost int64) bool {
+						if _, dup := now[k]; dup {
+							t.Fatalf("op %d (%s): Range reported %q twice", op, what, k)
+						}
+						now[k] = resident{v, cost}
+						return true
+					})
+					wantLost := slices.Clone(ref.victims[victims:])
+					if removed != "" {
+						wantLost = append(wantLost, removed)
+					}
+					checkAgainstPolicy(t, op, what, c, ref, prev, now, wantLost)
+					prev = now
+				}
+				if c.Evictions() < 5000 {
+					t.Fatalf("only %d evictions over the tape: it does not exercise eviction order", c.Evictions())
+				}
+			})
+		}
+	}
+}
+
+// checkAgainstPolicy compares the cache's observable state after one op
+// with the reference's: the keys Range lost since the op began against
+// the reference's victim and removal (wantLost), then Evictions, Len,
+// Occupancy, every ShardStats field, CostStats, and each resident key's
+// value and cost.
+func checkAgainstPolicy(t *testing.T, op int, what string, c *Cache[*box], ref *policyRef, prev, now map[string]resident, wantLost []string) {
+	t.Helper()
+	var lost []string
+	for k, was := range prev {
+		if cur, ok := now[k]; !ok || cur.val != was.val {
+			lost = append(lost, k)
+		}
+	}
+	if !slices.Equal(lost, wantLost) {
+		t.Fatalf("op %d (%s): the cache dropped %v, the reference %v", op, what, lost, wantLost)
+	}
+	var evictions uint64
+	var want CostStats
+	stats, occ := c.ShardStats(), c.Occupancy()
+	total := 0
+	for i := range ref.shards {
+		rs := &ref.shards[i]
+		ws := rs.stats
+		ws.Entries = len(rs.table)
+		if stats[i] != ws {
+			t.Fatalf("op %d (%s): shard %d stats %+v, reference %+v", op, what, i, stats[i], ws)
+		}
+		if occ[i] != len(rs.table) {
+			t.Fatalf("op %d (%s): shard %d occupancy %d, reference %d", op, what, i, occ[i], len(rs.table))
+		}
+		total += len(rs.table)
+		evictions += ws.Evictions
+		want.Added += ws.CostAdded
+		want.Evicted += ws.CostEvicted
+		want.Removed += ws.CostRemoved
+		want.Saved += ws.CostSaved
+		for k, e := range rs.table {
+			if got, ok := now[k]; !ok || got.val != e.val || got.cost != e.cost {
+				t.Fatalf("op %d (%s): Range has %q as %+v (present %v), reference %+v", op, what, k, got, ok, *e)
+			}
+		}
+	}
+	if len(now) != total || c.Len() != total {
+		t.Fatalf("op %d (%s): Range reports %d keys and Len %d, reference holds %d", op, what, len(now), c.Len(), total)
+	}
+	if c.Evictions() != evictions || uint64(len(ref.victims)) != evictions {
+		t.Fatalf("op %d (%s): Evictions %d, reference %d", op, what, c.Evictions(), evictions)
+	}
+	if cs := c.CostStats(); cs != want {
+		t.Fatalf("op %d (%s): CostStats %+v, reference %+v", op, what, cs, want)
+	}
+}
+
 // removalsIn recomputes successful removals from the fill/occupancy
 // identity — the cache does not count removals itself (the Service layer
 // does), so the test derives them: removals = fills − entries.
@@ -182,7 +471,7 @@ func sumShardStats(c *Cache[*box]) ShardStat {
 // − removals == Σ shard entries ≤ capacity, and the cost ledger identity
 // resident == added − evicted − removed == Σ resident entry costs.
 // Run under -race, this doubles as the memory-model check on the
-// published-index swap.
+// in-place index writes and rebuilds.
 func TestConcurrentHarnessInvariants(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	if prev < 32 {
@@ -236,8 +525,8 @@ func TestConcurrentHarnessInvariants(t *testing.T) {
 								// Sequenced after a successful Remove, this
 								// goroutine must never see that box again:
 								// inserts always allocate fresh boxes, so
-								// observing v here means a stale index was
-								// published after the removal.
+								// observing v here means the removal left
+								// v reachable in the current index.
 								if got, okNow := c.Get(key); okNow && got == v {
 									t.Errorf("removed box for %q resurfaced", key)
 									return
@@ -281,6 +570,61 @@ func TestConcurrentHarnessInvariants(t *testing.T) {
 			if got := cs.Resident(); got != resident {
 				t.Errorf("cost ledger: added %d - evicted %d - removed %d = %d, want Σ resident costs %d",
 					cs.Added, cs.Evicted, cs.Removed, got, resident)
+			}
+		})
+	}
+}
+
+// TestConcurrentRangeReportsEachKeyOnce walks the cache with Range while
+// writers churn evictions, removals and re-inserts of a key set barely
+// larger than the capacity, so keys keep leaving one slot and landing in
+// another mid-walk. The walk yields between entries to let the writers
+// in, and must never report a key twice: WarmupEntries feeds Range into
+// the snapshot encoder, whose decoder rejects a repeated key as corrupt.
+func TestConcurrentRangeReportsEachKeyOnce(t *testing.T) {
+	const keys = 6
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			c := New[*box](4, shards)
+			for i := 0; i < keys; i++ {
+				key := fmt.Sprintf("k%d", i)
+				c.GetOrAdd(key, func() *box { return &box{key: key} })
+			}
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for w := 0; w < 2; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					r := rand.New(rand.NewSource(int64(w)))
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						key := fmt.Sprintf("k%d", r.Intn(keys))
+						v, _ := c.GetOrAdd(key, func() *box { return &box{key: key} })
+						if r.Intn(4) == 0 {
+							c.Remove(key, v)
+						}
+					}
+				}(w)
+			}
+			defer func() {
+				close(stop)
+				wg.Wait()
+			}()
+			for walk := 0; walk < 20000; walk++ {
+				seen := make(map[string]bool, keys)
+				c.Range(func(k string, _ *box, _ int64) bool {
+					if seen[k] {
+						t.Fatalf("walk %d reported %q twice", walk, k)
+					}
+					seen[k] = true
+					runtime.Gosched()
+					return true
+				})
 			}
 		})
 	}

@@ -48,16 +48,20 @@
 //
 // # The sharded answer cache
 //
-// Service fronts its Connector with an LRU answer cache (internal/cache)
+// Service fronts its Connector with an answer cache (internal/cache)
 // keyed on the canonical terminal set plus the answer-changing query
 // options, with in-flight deduplication: of any number of identical
 // queries arriving concurrently, one computes and the rest wait on its
-// entry. The cache is split into independently locked shards selected by
-// a hash of the key — WithCacheShards tunes the count (default GOMAXPROCS
-// rounded up to a power of two, at most 64) — so a warm high-QPS path
-// does not serialize every hit on one mutex. WithCacheShards(1) restores
-// the exact single-lock global-LRU semantics; answers are identical at
-// any shard count. WithCacheSize capacity is split across shards by
-// ceiling division with a floor of one entry per shard, and Stats reports
-// aggregate counters plus per-shard occupancy (CacheStats.ShardEntries).
+// entry. The cache is split into shards selected by a hash of the key —
+// WithCacheShards tunes the count (default GOMAXPROCS rounded up to a
+// power of two, at most 64). A hit takes no lock: it probes the shard's
+// index lock-free. Misses, fills and removals serialize on their shard's
+// mutex and update the index in place. When a shard is full, eviction is
+// cost-aware sampled recency: it drops the entry whose recency stamp plus
+// a bonus for its recorded solve time is lowest, which is plain LRU only
+// while every recorded cost is under ~0.5 ms. Answers are identical at
+// any shard count; only which entry a full shard evicts changes.
+// WithCacheSize capacity is split across shards by ceiling division with
+// a floor of one entry per shard, and Stats reports aggregate counters
+// plus per-shard occupancy (CacheStats.ShardEntries).
 package core

@@ -34,14 +34,17 @@ func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 // shard count and is never silently below the request.
 func WithCacheSize(n int) Option { return func(c *config) { c.cacheSize = n } }
 
-// WithCacheShards sets how many independently locked shards the service's
-// answer cache is split into; n is rounded up to a power of two.
-// Non-positive selects the default, GOMAXPROCS rounded up to a power of
-// two and capped at 64. More shards cut lock contention on a warm
-// high-QPS cache; WithCacheShards(1) restores the exact single-lock
-// global-LRU semantics of v1 (useful when eviction order must be
-// deterministic). Answers are identical at any shard count — only lock
-// granularity and the eviction victim under capacity pressure change.
+// WithCacheShards sets how many shards the service's answer cache is
+// split into; n is rounded up to a power of two. Non-positive selects the
+// default, GOMAXPROCS rounded up to a power of two and capped at 64.
+// Hits take no lock at any shard count; more shards cut contention
+// between concurrent misses, which serialize on their shard's mutex.
+// Eviction compares entries within one shard, so WithCacheShards(1)
+// makes the order one cache-wide cost-aware sampled recency (plain LRU
+// while every recorded cost is under ~0.5 ms), useful when eviction order
+// must be deterministic. Answers are identical at any shard count — only
+// writer contention and the eviction victim under capacity pressure
+// change.
 func WithCacheShards(n int) Option { return func(c *config) { c.cacheShards = n } }
 
 // WithExactLimit sets the largest terminal count dispatched to the exact

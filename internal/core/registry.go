@@ -79,7 +79,7 @@ func (r *Registry) Swap(name string, svc *Service, source string) uint64 {
 	// service before publishing it, so a reinstall of the identical
 	// scheme (same fingerprint — WarmFrom verifies) does not restart the
 	// cache cold. Runs before the catalog lock is taken: the copy walks
-	// the old cache's published indexes and never stalls readers, and a
+	// the old cache's indexes lock-free and never stalls readers, and a
 	// racing swap on the same name at worst warms from an epoch that
 	// loses the race — entries are revalidated either way.
 	if prev, ok := r.Get(name); ok {

@@ -23,14 +23,15 @@ import (
 // Service serves minimal-connection queries over one compiled scheme to
 // concurrent callers. It adds two things to a Connector:
 //
-//   - a sharded LRU answer cache (internal/cache) keyed on the canonical
+//   - a sharded answer cache (internal/cache) keyed on the canonical
 //     terminal set (intset.Key) plus the per-query options that change the
 //     answer: the scheme is frozen at construction, so an answer never goes
 //     stale and repeated or overlapping workloads — the paper's interactive
 //     disambiguation loop re-asks mostly-identical queries — become cache
-//     hits instead of Steiner reruns. Each shard has its own lock, so a
-//     warm high-QPS path does not serialize every hit on one mutex; with
-//     WithCacheShards(1) the cache is exactly the classic single-lock LRU;
+//     hits instead of Steiner reruns. Hits are lock-free; misses serialize
+//     only on their own shard's mutex. A full shard evicts by cost-aware
+//     sampled recency, which is plain LRU only while every recorded solve
+//     cost is under ~0.5 ms;
 //   - ConnectBatch, which fans a batch out over a bounded worker pool.
 //
 // Identical queries arriving concurrently are deduplicated in flight: one
@@ -45,9 +46,9 @@ type Service struct {
 
 	// cache maps option-fingerprinted canonical terminal sets to
 	// *cacheEntry values. Shard selection hashes the whole key, so
-	// concurrent lookups of distinct queries take distinct locks while
-	// concurrent lookups of the same query still meet on one shard — which
-	// is what makes the in-flight dedup below work.
+	// concurrent misses on distinct queries mostly take distinct locks
+	// while concurrent misses on the same query still meet on one shard
+	// lock — which is what makes the in-flight dedup below work.
 	cache *cache.Cache[*cacheEntry]
 
 	// Counters are atomics, not lock-guarded fields: Stats() is a
@@ -399,7 +400,7 @@ func (s *Service) ShardStats() []cache.ShardStat { return s.cache.ShardStats() }
 
 // Stats returns current cache counters. A hit counts any lookup that found
 // an entry, including one still in flight. Counters are read atomically
-// and occupancy comes off the shards' published indexes, so a monitoring
+// and occupancy comes off the shards' atomic entry counts, so a monitoring
 // poll never takes a lock at all — scrapes cannot perturb the serving
 // path.
 func (s *Service) Stats() CacheStats {

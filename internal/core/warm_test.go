@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -68,6 +69,58 @@ func TestWarmSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("replay on restored cache: %+v, want %d hits / 0 misses", st, len(queries))
 	}
 	assertStatsReconcile(t, st, uint64(len(queries)))
+}
+
+// TestSaveWarmSnapshotUnderConcurrentMisses saves warm snapshots while
+// clients keep missing on a cache far smaller than their query set, so
+// answers are evicted and re-inserted while each save walks the cache.
+// Every snapshot must decode: the decoder rejects a warmup section that
+// lists one query twice as corrupt.
+func TestSaveWarmSnapshotUnderConcurrentMisses(t *testing.T) {
+	ctx := context.Background()
+	svc := core.NewService(core.New(fixtures.Fig3c()), core.WithCacheSize(4), core.WithCacheShards(1))
+	var queries [][]int
+	for i := 0; i < 6; i++ {
+		for j := i + 1; j < 6; j++ {
+			queries = append(queries, []int{i, j})
+		}
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				q := queries[(i*7)%len(queries)]
+				if _, err := svc.Connect(ctx, q); err != nil {
+					t.Errorf("connect %v: %v", q, err)
+					return
+				}
+			}
+		}(w)
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for save := 0; save < 5000; save++ {
+		var buf bytes.Buffer
+		if err := svc.SaveWarmSnapshot(&buf); err != nil {
+			t.Fatalf("save %d: %v", save, err)
+		}
+		if _, err := snapshot.Decode(buf.Bytes()); err != nil {
+			t.Fatalf("save %d does not decode: %v", save, err)
+		}
+	}
+	if st := svc.Stats(); st.Evictions == 0 {
+		t.Fatalf("no evictions during the saves: %+v", st)
+	}
 }
 
 // TestWarmSnapshotRespectsReceiverOptions: restore revalidates each entry

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Pinned benchmark trajectory: run the serving-path benchmarks every PR
-# cares about (the frozen solvers' per-query cost, hot cache serving, batch
-# throughput, and the bit-parallel kernels against their CSR fallbacks),
+# cares about (the frozen solvers' per-query cost, hot cache serving, the
+# answer cache's own hit and full-cache miss, batch throughput, and the
+# bit-parallel kernels against their CSR fallbacks),
 # then fold them together with a chordalctl load-harness run into one
 # schema-versioned BENCH_<tag>.json so perf changes leave a diffable,
 # attributable trail next to the code.
@@ -36,6 +37,7 @@ trap 'rm -f "$RAW" "$MICRO"' EXIT
 PINNED=(
   ".:BenchmarkSteinerFrozen|BenchmarkServiceThroughput"
   "./internal/core:BenchmarkServeHotParallel"
+  "./internal/cache:BenchmarkCacheMissFull|BenchmarkCacheHit"
   "./internal/graph:BenchmarkKernel"
 )
 for entry in "${PINNED[@]}"; do
