@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/bipartite"
 	"repro/internal/graph"
-	"repro/internal/trace"
 )
 
 // This file isolates the *ablation* variants of the two design choices the
@@ -20,20 +19,13 @@ import (
 // graphs the result is a valid tree over the terminals but loses the
 // V2-minimality guarantee — the ordering ablation of E-ABL1.
 func Algorithm1WithOrder(ctx context.Context, fb *bipartite.Frozen, terminals, order []int) (Tree, error) {
-	fg := fb.G()
-	sc := getScratch(fg.N())
-	defer sc.release()
-	alive, err := componentAliveBits(fg, terminals, nil, sc, sc.alive)
-	if err != nil {
-		return Tree{}, err
-	}
 	v2 := make([]int, 0, len(order))
 	for _, v := range order {
-		if v >= 0 && v < fg.N() && fb.Side(v) == graph.Side2 {
+		if v >= 0 && v < fb.N() && fb.Side(v) == graph.Side2 {
 			v2 = append(v2, v)
 		}
 	}
-	return algorithm1Eliminate(ctx, trace.FromContext(ctx), fg, terminals, v2, alive, sc)
+	return EliminateOrderedFrozen(ctx, fb.G(), terminals, v2)
 }
 
 // EliminateOrderedStrict is EliminateOrderedFrozen under the *strict*

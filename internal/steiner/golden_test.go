@@ -13,7 +13,9 @@ import (
 // edge list in order, or error text — of every case of the solver sweeps
 // in frozen_test.go and boundary_test.go. The answers were recorded from
 // the mutable-graph solvers, which the frozen ones reproduced bit for bit,
-// so they pin tie-breaking as well as optimality.
+// so they pin tie-breaking as well as optimality. The one exception is
+// Algorithm 1 with a lone V1 terminal, re-recorded as the terminal alone
+// once the elimination stopped removing Adj*(v) together with v.
 // Each sweep is one section of the file: lines whose first field is the
 // sweep's name, in the order the sweep produces them.
 
