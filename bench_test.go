@@ -280,7 +280,8 @@ func BenchmarkYannakakis(b *testing.B) {
 }
 
 // BenchmarkConnectorDispatch measures the one-off classification cost that
-// core.New front-loads.
+// core.New front-loads (New), and one query's dispatch on the γ-acyclic,
+// hence (6,2)-chordal, scheme (Connect).
 func BenchmarkConnectorDispatch(b *testing.B) {
 	r := rand.New(rand.NewSource(19))
 	h := gen.GammaAcyclic(r, 30, 3, 3)

@@ -5,7 +5,9 @@
 // queries (Section 3) with the strongest algorithm the class admits:
 //
 //	(6,2)-chordal                 → Algorithm 2: node-minimum Steiner tree,
-//	                                polynomial (Theorem 5)
+//	                                polynomial (Theorem 5), eliminating in
+//	                                Lemma 1's order so that it minimizes
+//	                                V2 nodes too (Theorem 3)
 //	V1-chordal ∧ V1-conformal     → Algorithm 1: tree minimizing auxiliary
 //	                                relations (V2 nodes), polynomial
 //	                                (Theorems 3–4); total node count is

@@ -75,3 +75,33 @@ func TestAlgorithm1FrozenWarmAllocs(t *testing.T) {
 		t.Fatalf("Algorithm1FrozenShared allocates %.1f times per warm query, want 2 (the result's nodes and edges)", allocs)
 	}
 }
+
+// TestMinimumTreeFrozenWarmAllocs pins the warm cost of the one pass that
+// answers (6,2)-chordal queries: it reads the memoized Lemma 1 ordering
+// and the frozen view's V1 list, so, like Algorithm 1 and 2, it allocates
+// only the result's node and edge slices.
+func TestMinimumTreeFrozenWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation makes sync.Pool drop items; allocs are expected")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+
+	r := rand.New(rand.NewSource(31))
+	fb := gen.RandomTree(r, 256).Freeze() // connected, (6,2)-chordal
+	perm := r.Perm(fb.N())
+	terminals := perm[:6]
+
+	for i := 0; i < 3; i++ { // build the memo entry and warm the pool
+		if _, err := steiner.MinimumTreeFrozenShared(ctx, fb, terminals, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := steiner.MinimumTreeFrozenShared(ctx, fb, terminals, nil); err != nil {
+			t.Error(err)
+		}
+	})
+	if allocs != 2 {
+		t.Fatalf("MinimumTreeFrozenShared allocates %.1f times per warm query, want 2 (the result's nodes and edges)", allocs)
+	}
+}

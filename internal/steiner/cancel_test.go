@@ -39,8 +39,9 @@ func TestFrozenSolversCancelled(t *testing.T) {
 	if _, err := steiner.RankedCovers(cancelled, b.G(), terms, b.N(), 5); !errors.Is(err, context.Canceled) {
 		t.Errorf("RankedCovers: %v", err)
 	}
-	// Algorithm1FrozenShared rejects the grid before its elimination loop
-	// (not alpha-acyclic), so exercise it on a scheme it accepts.
+	// Algorithm1FrozenShared and MinimumTreeFrozenShared reject the grid
+	// before their elimination loop (not alpha-acyclic), so exercise them
+	// on a scheme they accept.
 	ab := gen.GridBipartite(1, 9) // a path: trivially alpha-acyclic
 	afb := ab.Freeze()
 	if _, err := steiner.Algorithm1FrozenShared(cancelled, afb, []int{0, ab.N() - 1}, nil); !errors.Is(err, context.Canceled) {
@@ -48,6 +49,9 @@ func TestFrozenSolversCancelled(t *testing.T) {
 	}
 	if _, err := steiner.Algorithm1WithOrder(cancelled, afb, []int{0, ab.N() - 1}, afb.V2()); !errors.Is(err, context.Canceled) {
 		t.Errorf("Algorithm1WithOrder: %v", err)
+	}
+	if _, err := steiner.MinimumTreeFrozenShared(cancelled, afb, []int{0, ab.N() - 1}, nil); !errors.Is(err, context.Canceled) {
+		t.Errorf("MinimumTreeFrozenShared: %v", err)
 	}
 }
 

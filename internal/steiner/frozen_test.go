@@ -169,6 +169,9 @@ func TestFrozenSolverErrors(t *testing.T) {
 	if _, err := steiner.Algorithm1FrozenShared(ctx, fb, []int{a1, a2}, nil); !errors.Is(err, steiner.ErrDisconnectedTerminals) {
 		t.Errorf("Algorithm1FrozenShared across components: %v", err)
 	}
+	if _, err := steiner.MinimumTreeFrozenShared(ctx, fb, []int{a1, a2}, nil); !errors.Is(err, steiner.ErrDisconnectedTerminals) {
+		t.Errorf("MinimumTreeFrozenShared across components: %v", err)
+	}
 	if _, err := steiner.ExactFrozenShared(ctx, fb.G(), []int{a1, a2}, nil); !errors.Is(err, steiner.ErrDisconnectedTerminals) {
 		t.Errorf("ExactFrozenShared across components: %v", err)
 	}

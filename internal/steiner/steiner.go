@@ -9,9 +9,10 @@ import (
 	"repro/internal/intset"
 )
 
-// ErrNotAlphaAcyclic is returned by Algorithm1FrozenShared when H¹ of the
-// terminals' component is not α-acyclic, i.e. the graph is not V1-chordal
-// and V1-conformal, so Lemma 1's elimination ordering does not exist.
+// ErrNotAlphaAcyclic is returned by Algorithm1FrozenShared and
+// MinimumTreeFrozenShared when H¹ of the terminals' component is not
+// α-acyclic, i.e. the graph is not V1-chordal and V1-conformal, so Lemma
+// 1's elimination ordering does not exist.
 var ErrNotAlphaAcyclic = errors.New("steiner: graph is not V1-chordal and V1-conformal (H¹ not alpha-acyclic)")
 
 // ErrDisconnectedTerminals is returned when the terminals do not lie in one
@@ -125,10 +126,4 @@ func (t Tree) CountSide(isSide func(v int) bool) int {
 // V2Count returns the number of V2 nodes of the tree in b.
 func V2Count(b *bipartite.Graph, t Tree) int {
 	return t.CountSide(func(v int) bool { return b.Side(v) == graph.Side2 })
-}
-
-// V2CountFrozen is V2Count on the compiled view — the serving path's
-// variant, so certifying V2-minimality never needs the mutable graph.
-func V2CountFrozen(fb *bipartite.Frozen, t Tree) int {
-	return t.CountSide(func(v int) bool { return fb.Side(v) == graph.Side2 })
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Pinned benchmark trajectory: run the serving-path benchmarks every PR
-# cares about (the frozen solvers' per-query cost, hot cache serving, the
-# answer cache's own hit and full-cache miss, batch throughput, and the
-# bit-parallel kernels against their CSR fallbacks),
+# cares about (the frozen solvers' per-query cost, a (6,2)-chordal query's
+# dispatch, hot cache serving, the answer cache's own hit and full-cache
+# miss, batch throughput, and the bit-parallel kernels against their CSR
+# fallbacks),
 # then fold them together with a chordalctl load-harness run into one
 # schema-versioned BENCH_<tag>.json so perf changes leave a diffable,
 # attributable trail next to the code.
@@ -35,7 +36,7 @@ trap 'rm -f "$RAW" "$MICRO"' EXIT
 # tests so only benchmarks execute. Every name must match at least one
 # benchmark, or a rename would silently drop its rows from the file.
 PINNED=(
-  ".:BenchmarkSteinerFrozen|BenchmarkServiceThroughput"
+  ".:BenchmarkSteinerFrozen|BenchmarkServiceThroughput|BenchmarkConnectorDispatch"
   "./internal/core:BenchmarkServeHotParallel"
   "./internal/cache:BenchmarkCacheMissFull|BenchmarkCacheHit"
   "./internal/graph:BenchmarkKernel"
