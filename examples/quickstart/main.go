@@ -24,15 +24,19 @@ func main() {
 	for _, a := range []string{"reader", "book", "author", "branch"} {
 		attrs[a] = b.AddV1(a)
 	}
-	rels := map[string]int{}
-	for name, over := range map[string][]string{
-		"borrows": {"reader", "book"},
-		"wrote":   {"author", "book"},
-		"stocks":  {"branch", "book"},
+	// A slice, not a map, so node ids and therefore the printed order are
+	// the same on every run.
+	for _, rel := range []struct {
+		name string
+		over []string
+	}{
+		{"borrows", []string{"reader", "book"}},
+		{"wrote", []string{"author", "book"}},
+		{"stocks", []string{"branch", "book"}},
 	} {
-		rels[name] = b.AddV2(name)
-		for _, a := range over {
-			b.AddEdge(attrs[a], rels[name])
+		r := b.AddV2(rel.name)
+		for _, a := range rel.over {
+			b.AddEdge(attrs[a], r)
 		}
 	}
 
