@@ -20,35 +20,22 @@ import (
 	"repro/internal/steiner"
 )
 
-// BenchmarkRecognizers covers E-T1: the polynomial recognizers of the
-// Theorem 1 taxonomy across graph sizes.
+// BenchmarkRecognizers covers E-T1: the Theorem 1 taxonomy across graph
+// sizes, compiled once (ClassifyFrozen) and with the freeze included
+// (Classify).
 func BenchmarkRecognizers(b *testing.B) {
 	for _, size := range []int{8, 16, 32} {
 		r := rand.New(rand.NewSource(int64(size)))
 		g := gen.RandomBipartite(r, size, size, 0.25)
-		b.Run(fmt.Sprintf("Is61Chordal/n=%d", 2*size), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				chordality.Is61Chordal(g)
-			}
-		})
-		b.Run(fmt.Sprintf("Is62Chordal/n=%d", 2*size), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				chordality.Is62Chordal(g)
-			}
-		})
-		b.Run(fmt.Sprintf("V1Chordal/n=%d", 2*size), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				chordality.IsV1Chordal(g)
-			}
-		})
-		b.Run(fmt.Sprintf("V1Conformal/n=%d", 2*size), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				chordality.IsV1Conformal(g)
-			}
-		})
+		fg := g.Freeze()
 		b.Run(fmt.Sprintf("Classify/n=%d", 2*size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				chordality.Classify(g)
+			}
+		})
+		b.Run(fmt.Sprintf("ClassifyFrozen/n=%d", 2*size), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				chordality.ClassifyFrozen(fg)
 			}
 		})
 	}
@@ -402,27 +389,6 @@ func BenchmarkFreeze(b *testing.B) {
 		b.Run(fmt.Sprintf("edges=%d/V=%d", m, bg.N()), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				bg.Freeze()
-			}
-		})
-	}
-}
-
-// BenchmarkClassifyMutableVsFrozen compares the seed classification path
-// against the compiled one (freeze cost excluded: the scheme is compiled
-// once and classified on the frozen view).
-func BenchmarkClassifyMutableVsFrozen(b *testing.B) {
-	for _, size := range []int{16, 32} {
-		r := rand.New(rand.NewSource(int64(size)))
-		g := gen.RandomBipartite(r, size, size, 0.25)
-		fg := g.Freeze()
-		b.Run(fmt.Sprintf("Mutable/n=%d", 2*size), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				chordality.Classify(g)
-			}
-		})
-		b.Run(fmt.Sprintf("Frozen/n=%d", 2*size), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				chordality.ClassifyFrozen(fg)
 			}
 		})
 	}

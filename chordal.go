@@ -110,8 +110,8 @@
 //	                     frozen bipartite view (partition over the CSR)
 //	                     and its per-component Lemma 1 orderings
 //	internal/hypergraph  dual, primal, GYO, Berge/γ/β/α recognizers
-//	internal/chordality  (4,1)/(6,2)/(6,1)/Vi-chordality recognizers,
-//	                     mutable and frozen paths
+//	internal/chordality  (4,1)/(6,2)/(6,1)/Vi-chordality recognizers
+//	                     on the frozen view (Theorem 1)
 //	internal/steiner     Algorithms 1–2, exact and heuristic baselines,
 //	                     all on the frozen view and context-aware, the
 //	                     ranked interpretations, the X3C and CSPC
@@ -265,7 +265,8 @@ func Freeze(b *Bipartite) *FrozenBipartite { return b.Freeze() }
 // FreezeGraph compiles a graph into its immutable CSR view.
 func FreezeGraph(g *Graph) *FrozenGraph { return g.Freeze() }
 
-// Classify runs every chordality recognizer on b (Theorem 1 taxonomy).
+// Classify freezes b and runs every chordality recognizer on the frozen
+// view (Theorem 1 taxonomy); ClassifyFrozen skips the freeze.
 func Classify(b *Bipartite) Class { return chordality.Classify(b) }
 
 // ClassifyFrozen runs every chordality recognizer on a compiled scheme.

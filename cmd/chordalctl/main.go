@@ -643,13 +643,13 @@ func readScheme(in io.Reader, hyper bool) (*bipartite.Graph, error) {
 // describeScheme prints the classification report for one compiled scheme
 // (taking the Connector avoids recompiling what the caller already has).
 func describeScheme(stdout io.Writer, conn *core.Connector) {
-	b := conn.Graph()
+	fb := conn.Frozen()
 	fmt.Fprintf(stdout, "graph: %d nodes (%d in V1, %d in V2), %d arcs\n",
-		b.N(), len(b.V1()), len(b.V2()), b.M())
+		fb.N(), len(fb.V1()), len(fb.V2()), fb.M())
 	fmt.Fprint(stdout, conn.Describe())
 
-	h1 := b.HypergraphV1().H
-	h2 := b.HypergraphV2().H
+	h1 := fb.HypergraphV1().H
+	h2 := fb.HypergraphV2().H
 	fmt.Fprintf(stdout, "H1 (nodes=V1, edges=V2 neighbourhoods): %s\n", h1.Classify())
 	fmt.Fprintf(stdout, "H2 (nodes=V2, edges=V1 neighbourhoods): %s\n", h2.Classify())
 	printWitnesses(stdout, "H1", h1)

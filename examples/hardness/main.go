@@ -33,8 +33,9 @@ func main() {
 		log.Fatal(err)
 	}
 	g := red.B.G()
+	cl := chordality.Classify(red.B)
 	fmt.Printf("gadget: %d nodes, %d arcs; V1-chordal=%v V1-conformal=%v\n",
-		g.N(), g.M(), chordality.IsV1Chordal(red.B), chordality.IsV1Conformal(red.B))
+		g.N(), g.M(), cl.V1Chordal, cl.V1Conformal)
 	tree, err := steiner.ExactFrozenShared(ctx, g.Freeze(), red.Terminals, nil)
 	if err != nil {
 		log.Fatal(err)
@@ -69,10 +70,11 @@ func main() {
 	r := rand.New(rand.NewSource(42))
 	ch := gen.RandomChordalGraph(r, 8, 3)
 	fmt.Printf("chordal graph: %d nodes, %d arcs, chordal=%v\n",
-		ch.N(), ch.M(), chordality.IsChordal(ch))
+		ch.N(), ch.M(), chordality.IsChordal(ch.Freeze()))
 	cs := steiner.ReduceCSPC(ch)
+	cl = chordality.Classify(cs.B)
 	fmt.Printf("subdivision gadget: V1-chordal=%v V1-conformal=%v\n",
-		chordality.IsV1Chordal(cs.B), chordality.IsV1Conformal(cs.B))
+		cl.V1Chordal, cl.V1Conformal)
 	terms := []int{cs.NodeVs[0], cs.NodeVs[ch.N()-1]}
 	direct, err := steiner.ExactFrozenShared(ctx, ch.Freeze(), []int{0, ch.N() - 1}, nil)
 	if err != nil {

@@ -153,36 +153,12 @@ type Correspondence struct {
 // every V2 node with at least one neighbour there is an edge holding its
 // V1-neighbourhood. V2 nodes of degree zero contribute no edge (edges must
 // be nonempty, Definition 1) — the correspondence is exact on graphs
-// without isolated V2 nodes.
-func (b *Graph) HypergraphV1() Correspondence {
-	h := hypergraph.New()
-	v1ToNode := map[int]int{}
-	var nodeToV1 []int
-	for _, v := range b.V1() {
-		v1ToNode[v] = h.AddNode(b.g.Label(v))
-		nodeToV1 = append(nodeToV1, v)
-	}
-	var edgeToV2 []int
-	for _, w := range b.V2() {
-		nbr := b.g.Neighbors(w)
-		if nbr.Empty() {
-			continue
-		}
-		nodes := make([]int, nbr.Len())
-		for i, v := range nbr {
-			nodes[i] = v1ToNode[v]
-		}
-		h.AddEdge(b.g.Label(w), nodes...)
-		edgeToV2 = append(edgeToV2, w)
-	}
-	return Correspondence{H: h, EdgeToV2: edgeToV2, NodeToV1: nodeToV1, V1ToNode: v1ToNode}
-}
+// without isolated V2 nodes. It is Frozen.HypergraphV1 on a fresh Freeze.
+func (b *Graph) HypergraphV1() Correspondence { return b.Freeze().HypergraphV1() }
 
 // HypergraphV2 builds H²G symmetrically: nodes correspond to V2, edges to
 // V1 neighbourhoods.
-func (b *Graph) HypergraphV2() Correspondence {
-	return b.Swap().HypergraphV1()
-}
+func (b *Graph) HypergraphV2() Correspondence { return b.Freeze().HypergraphV2() }
 
 // Incidence links a hypergraph with its incidence bipartite graph.
 type Incidence struct {

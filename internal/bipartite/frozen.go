@@ -202,8 +202,7 @@ func (f *Frozen) Thaw() *Graph {
 
 // HypergraphV1 builds H¹G (Definition 2) straight off the CSR arrays:
 // nodes correspond to V1, and every V2 node with at least one neighbour
-// contributes an edge holding its V1-neighbourhood. Matches
-// Graph.HypergraphV1 exactly.
+// contributes an edge holding its V1-neighbourhood.
 func (f *Frozen) HypergraphV1() Correspondence {
 	return f.hypergraphSide(graph.Side1, nil)
 }

@@ -43,39 +43,6 @@ func TestFrozenMirrorsBipartite(t *testing.T) {
 	}
 }
 
-func TestFrozenHypergraphsMatchMutable(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 10; trial++ {
-		b := gen.RandomBipartite(r, 2+r.Intn(10), 2+r.Intn(10), 0.35)
-		f := b.Freeze()
-
-		for _, tc := range []struct {
-			name            string
-			mutable, frozen bipartite.Correspondence
-		}{
-			{"H1", b.HypergraphV1(), f.HypergraphV1()},
-			{"H2", b.HypergraphV2(), f.HypergraphV2()},
-		} {
-			if !tc.mutable.H.Equal(tc.frozen.H) {
-				t.Fatalf("%s: frozen hypergraph differs:\n%v\n%v", tc.name, tc.mutable.H, tc.frozen.H)
-			}
-			if len(tc.mutable.EdgeToV2) != len(tc.frozen.EdgeToV2) {
-				t.Fatalf("%s: EdgeToV2 length mismatch", tc.name)
-			}
-			for i := range tc.mutable.EdgeToV2 {
-				if tc.mutable.EdgeToV2[i] != tc.frozen.EdgeToV2[i] {
-					t.Fatalf("%s: EdgeToV2[%d] mismatch", tc.name, i)
-				}
-			}
-			for i := range tc.mutable.NodeToV1 {
-				if tc.mutable.NodeToV1[i] != tc.frozen.NodeToV1[i] {
-					t.Fatalf("%s: NodeToV1[%d] mismatch", tc.name, i)
-				}
-			}
-		}
-	}
-}
-
 func TestFrozenHypergraphAliveMatchesInduced(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 10; trial++ {

@@ -4,8 +4,10 @@
 // Definition 4 — (4,1), (6,2) and (6,1) — and the asymmetric V1/V2
 // chordality and conformity classes of Definition 5.
 //
-// The bipartite recognizers go through Theorem 1's correspondence with
-// hypergraph acyclicity, which yields polynomial tests:
+// Every recognizer runs on the compiled CSR view (graph.Frozen,
+// bipartite.Frozen), and the bipartite ones go through Theorem 1's
+// correspondence with hypergraph acyclicity, which yields polynomial
+// tests:
 //
 //	(4,1)-chordal ⟺ H¹G Berge-acyclic ⟺ G is a forest
 //	(6,2)-chordal ⟺ H¹G γ-acyclic
@@ -14,7 +16,7 @@
 //	V1-conformal  ⟺ H¹G conformal         (Fact (b))
 //	V1-chordal ∧ V1-conformal ⟺ H¹G α-acyclic
 //
-// Each fast test is certified against the literal Definition 4/5 checks of
+// Each verdict is checked against the literal Definition 4/5 checks of
 // internal/reference in this package's tests.
 package chordality
 
@@ -23,22 +25,21 @@ import (
 	"repro/internal/graph"
 )
 
-// IsChordal reports whether g is chordal ((4,1)-chordal in Definition 4's
-// terms: every cycle of length ≥ 4 has a chord). The test runs maximum
-// cardinality search and verifies that the reverse visit order is a
-// perfect elimination ordering — it is iff g is chordal (Tarjan &
-// Yannakakis [12]).
-func IsChordal(g *graph.Graph) bool {
-	_, ok := PerfectEliminationOrder(g)
+// IsChordal reports whether f is chordal (every cycle of length ≥ 4 has a
+// chord). The test runs maximum cardinality search and verifies that the
+// reverse visit order is a perfect elimination ordering — it is iff f is
+// chordal (Tarjan & Yannakakis, SIAM J. Comput. 1984).
+func IsChordal(f *graph.Frozen) bool {
+	_, ok := PerfectEliminationOrder(f)
 	return ok
 }
 
 // MCSOrder returns a maximum cardinality search visit order: each step
 // visits an unvisited node with the maximum number of visited neighbours
 // (ties broken by lowest id, so the order is deterministic).
-func MCSOrder(g *graph.Graph) []int {
-	n := g.N()
-	weight := make([]int, n)
+func MCSOrder(f *graph.Frozen) []int {
+	n := f.N()
+	weight := make([]int32, n)
 	visited := make([]bool, n)
 	order := make([]int, 0, n)
 	for len(order) < n {
@@ -53,7 +54,7 @@ func MCSOrder(g *graph.Graph) []int {
 		}
 		visited[best] = true
 		order = append(order, best)
-		for _, w := range g.Neighbors(best) {
+		for _, w := range f.Neighbors(best) {
 			if !visited[w] {
 				weight[w]++
 			}
@@ -62,89 +63,40 @@ func MCSOrder(g *graph.Graph) []int {
 	return order
 }
 
-// PerfectEliminationOrder returns a perfect elimination ordering of g and
-// true if g is chordal, or nil and false otherwise. The ordering lists
-// nodes so that each node's later neighbours form a clique.
-func PerfectEliminationOrder(g *graph.Graph) ([]int, bool) {
-	mcs := MCSOrder(g)
-	// Elimination order = reverse MCS visit order.
-	n := g.N()
+// PerfectEliminationOrder returns the reverse MCS order of f and true if
+// it is a perfect elimination ordering (each node's later neighbours form
+// a clique), which holds iff f is chordal; otherwise nil and false.
+func PerfectEliminationOrder(f *graph.Frozen) ([]int, bool) {
+	mcs := MCSOrder(f)
+	n := f.N()
 	peo := make([]int, n)
 	for i, v := range mcs {
 		peo[n-1-i] = v
 	}
-	pos := make([]int, n)
+	pos := make([]int32, n)
 	for i, v := range peo {
-		pos[v] = i
+		pos[v] = int32(i)
 	}
-	// Verify: for each v, let w be its earliest later neighbour; all other
-	// later neighbours of v must be adjacent to w (Golumbic's linear
-	// verification, written quadratically for clarity).
+	// For each v, let w be its earliest later neighbour; all other later
+	// neighbours of v must be adjacent to w (Golumbic's verification). The
+	// frozen bitset matrix answers those HasEdge probes in O(1).
 	for _, v := range peo {
 		w := -1
-		for _, u := range g.Neighbors(v) {
+		for _, u := range f.Neighbors(v) {
 			if pos[u] > pos[v] && (w == -1 || pos[u] < pos[w]) {
-				w = u
+				w = int(u)
 			}
 		}
 		if w == -1 {
 			continue
 		}
-		for _, u := range g.Neighbors(v) {
-			if pos[u] > pos[v] && u != w && !g.HasEdge(w, u) {
+		for _, u := range f.Neighbors(v) {
+			if pos[u] > pos[v] && int(u) != w && !f.HasEdge(w, int(u)) {
 				return nil, false
 			}
 		}
 	}
 	return peo, true
-}
-
-// Is41Chordal reports whether the bipartite graph is (4,1)-chordal: every
-// cycle of length ≥ 4 has a chord. For a bipartite graph this holds iff
-// the graph has no cycle at all (Theorem 1(i) remark): a shortest cycle is
-// chordless and bipartite graphs have no triangles.
-func Is41Chordal(b *bipartite.Graph) bool {
-	return b.G().IsForest()
-}
-
-// Is61Chordal reports whether the bipartite graph is (6,1)-chordal (every
-// cycle of length ≥ 6 has at least one chord — G is "chordal bipartite").
-// By Theorem 1(iii) this holds iff H¹G is β-acyclic, which nest-point
-// elimination decides in polynomial time.
-func Is61Chordal(b *bipartite.Graph) bool {
-	return b.HypergraphV1().H.BetaAcyclic()
-}
-
-// Is62Chordal reports whether the bipartite graph is (6,2)-chordal (every
-// cycle of length ≥ 6 has at least two chords). By Theorem 1(ii) this
-// holds iff H¹G is γ-acyclic.
-func Is62Chordal(b *bipartite.Graph) bool {
-	return b.HypergraphV1().H.GammaAcyclic()
-}
-
-// IsV1Chordal reports whether the bipartite graph is V1-chordal
-// (Definition 5): for every cycle of length ≥ 8 some V2 node is adjacent
-// to two cycle nodes at cycle distance ≥ 4. Equivalent to chordality of
-// the primal graph of H¹G (Fact (a) in the proof of Theorem 1).
-func IsV1Chordal(b *bipartite.Graph) bool {
-	return IsChordal(b.HypergraphV1().H.PrimalGraph())
-}
-
-// IsV2Chordal is IsV1Chordal with the sides swapped.
-func IsV2Chordal(b *bipartite.Graph) bool {
-	return IsV1Chordal(b.Swap())
-}
-
-// IsV1Conformal reports whether the bipartite graph is V1-conformal
-// (Definition 5): every set of V1 nodes with mutual distance 2 has a
-// common V2 neighbour. Equivalent to conformality of H¹G (Fact (b)).
-func IsV1Conformal(b *bipartite.Graph) bool {
-	return b.HypergraphV1().H.Conformal()
-}
-
-// IsV2Conformal is IsV1Conformal with the sides swapped.
-func IsV2Conformal(b *bipartite.Graph) bool {
-	return IsV1Conformal(b.Swap())
 }
 
 // Class aggregates every recognizer verdict for a bipartite graph; it is
@@ -167,17 +119,21 @@ func (c Class) AlphaV1() bool { return c.V1Chordal && c.V1Conformal }
 // AlphaV2 reports whether H²G is α-acyclic (Theorem 1(vi)).
 func (c Class) AlphaV2() bool { return c.V2Chordal && c.V2Conformal }
 
-// Classify runs every recognizer on b.
-func Classify(b *bipartite.Graph) Class {
-	h1 := b.HypergraphV1().H
-	h2 := b.HypergraphV2().H
+// Classify freezes b and runs every recognizer on the frozen view.
+func Classify(b *bipartite.Graph) Class { return ClassifyFrozen(b.Freeze()) }
+
+// ClassifyFrozen runs every recognizer on the frozen scheme, building both
+// Definition 2 hypergraphs straight from the CSR arrays.
+func ClassifyFrozen(fb *bipartite.Frozen) Class {
+	h1 := fb.HypergraphV1().H
+	h2 := fb.HypergraphV2().H
 	return Class{
-		Chordal41:   b.G().IsForest(),
+		Chordal41:   fb.G().IsForest(),
 		Chordal62:   h1.GammaAcyclic(),
 		Chordal61:   h1.BetaAcyclic(),
-		V1Chordal:   IsChordal(h1.PrimalGraph()),
+		V1Chordal:   IsChordal(h1.PrimalGraph().Freeze()),
 		V1Conformal: h1.Conformal(),
-		V2Chordal:   IsChordal(h2.PrimalGraph()),
+		V2Chordal:   IsChordal(h2.PrimalGraph().Freeze()),
 		V2Conformal: h2.Conformal(),
 	}
 }

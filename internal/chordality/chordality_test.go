@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bipartite"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/reference"
 )
@@ -48,7 +49,7 @@ func TestIsChordalBasics(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := IsChordal(tc.g); got != tc.want {
+			if got := IsChordal(tc.g.Freeze()); got != tc.want {
 				t.Errorf("IsChordal = %v, want %v", got, tc.want)
 			}
 		})
@@ -56,7 +57,7 @@ func TestIsChordalBasics(t *testing.T) {
 	// C4 plus a chord becomes chordal.
 	g := cycleGraph(4)
 	g.AddEdge(0, 2)
-	if !IsChordal(g) {
+	if !IsChordal(g.Freeze()) {
 		t.Error("C4+chord should be chordal")
 	}
 }
@@ -65,7 +66,7 @@ func TestIsChordalAgainstReference(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	for iter := 0; iter < 400; iter++ {
 		g := randomGraph(r, 3+r.Intn(7), r.Float64())
-		if got, want := IsChordal(g), reference.IsChordalGraph(g); got != want {
+		if got, want := IsChordal(g.Freeze()), reference.IsChordalGraph(g); got != want {
 			t.Fatalf("chordal mismatch on %v: fast=%v ref=%v", g, got, want)
 		}
 	}
@@ -75,7 +76,10 @@ func TestPEOIsValid(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	for iter := 0; iter < 200; iter++ {
 		g := randomGraph(r, 3+r.Intn(7), r.Float64())
-		peo, ok := PerfectEliminationOrder(g)
+		peo, ok := PerfectEliminationOrder(g.Freeze())
+		if chordal := reference.IsChordalGraph(g); ok != chordal {
+			t.Fatalf("PEO found = %v on %v, but chordal = %v", ok, g, chordal)
+		}
 		if !ok {
 			continue
 		}
@@ -223,23 +227,23 @@ func fig5() *bipartite.Graph {
 }
 
 func TestFig3Ladder(t *testing.T) {
-	a, bb, c := fig3a(), fig3b(), fig3c()
-	if !Is41Chordal(a) || !Is62Chordal(a) || !Is61Chordal(a) {
+	a, bb, c := Classify(fig3a()), Classify(fig3b()), Classify(fig3c())
+	if !a.Chordal41 || !a.Chordal62 || !a.Chordal61 {
 		t.Error("fig3a should satisfy all chordality levels")
 	}
-	if Is41Chordal(bb) {
+	if bb.Chordal41 {
 		t.Error("fig3b is cyclic, not (4,1)-chordal")
 	}
-	if !Is62Chordal(bb) || !Is61Chordal(bb) {
+	if !bb.Chordal62 || !bb.Chordal61 {
 		t.Error("fig3b should be (6,2)- and (6,1)-chordal")
 	}
-	if Is62Chordal(c) {
+	if c.Chordal62 {
 		t.Error("fig3c should not be (6,2)-chordal")
 	}
-	if !Is61Chordal(c) {
+	if !c.Chordal61 {
 		t.Error("fig3c should be (6,1)-chordal")
 	}
-	if Is61Chordal(bipartiteCycle(3)) {
+	if Classify(bipartiteCycle(3)).Chordal61 {
 		t.Error("chordless C6 should not be (6,1)-chordal")
 	}
 }
@@ -287,72 +291,102 @@ func TestCorollary2Containment(t *testing.T) {
 	}
 }
 
+// checkAgainstReference fails t unless every verdict of cl matches the
+// literal Definition 4/5 check of internal/reference on b.
+func checkAgainstReference(t *testing.T, b *bipartite.Graph, cl Class) {
+	t.Helper()
+	g := b.G()
+	for _, c := range []struct {
+		name      string
+		got, want bool
+	}{
+		{"(4,1)-chordal", cl.Chordal41, reference.IsMNChordal(g, 4, 1)},
+		{"(6,2)-chordal", cl.Chordal62, reference.IsMNChordal(g, 6, 2)},
+		{"(6,1)-chordal", cl.Chordal61, reference.IsMNChordal(g, 6, 1)},
+		{"V1-chordal", cl.V1Chordal, reference.IsV1Chordal(b)},
+		{"V1-conformal", cl.V1Conformal, reference.IsV1Conformal(b)},
+		{"V2-chordal", cl.V2Chordal, reference.IsV2Chordal(b)},
+		{"V2-conformal", cl.V2Conformal, reference.IsV2Conformal(b)},
+	} {
+		if c.got != c.want {
+			t.Fatalf("%s mismatch on %v: fast=%v ref=%v", c.name, g, c.got, c.want)
+		}
+	}
+}
+
 func TestTheorem1AgainstReference(t *testing.T) {
 	// The fast recognizers (via Theorem 1's hypergraph route) must agree
 	// with the literal Definition 4/5 checks on random bipartite graphs.
 	r := rand.New(rand.NewSource(37))
 	for iter := 0; iter < 300; iter++ {
 		b := randomBipartite(r, 2+r.Intn(4), 2+r.Intn(4), r.Float64())
-		g := b.G()
-		if got, want := Is41Chordal(b), reference.IsMNChordal(g, 4, 1); got != want {
-			t.Fatalf("(4,1) mismatch on %v: fast=%v ref=%v", g, got, want)
-		}
-		if got, want := Is61Chordal(b), reference.IsMNChordal(g, 6, 1); got != want {
-			t.Fatalf("(6,1) mismatch on %v: fast=%v ref=%v", g, got, want)
-		}
-		if got, want := Is62Chordal(b), reference.IsMNChordal(g, 6, 2); got != want {
-			t.Fatalf("(6,2) mismatch on %v: fast=%v ref=%v", g, got, want)
-		}
-		if got, want := IsV1Chordal(b), reference.IsV1Chordal(b); got != want {
-			t.Fatalf("V1-chordal mismatch on %v: fast=%v ref=%v", g, got, want)
-		}
-		if got, want := IsV1Conformal(b), reference.IsV1Conformal(b); got != want {
-			t.Fatalf("V1-conformal mismatch on %v: fast=%v ref=%v", g, got, want)
-		}
-		if got, want := IsV2Chordal(b), reference.IsV2Chordal(b); got != want {
-			t.Fatalf("V2-chordal mismatch on %v: fast=%v ref=%v", g, got, want)
-		}
-		if got, want := IsV2Conformal(b), reference.IsV2Conformal(b); got != want {
-			t.Fatalf("V2-conformal mismatch on %v: fast=%v ref=%v", g, got, want)
-		}
+		checkAgainstReference(t, b, Classify(b))
 	}
 }
 
 func TestTheorem1Statements(t *testing.T) {
 	// Statements (i)–(vi) of Theorem 1 as executable assertions on random
-	// bipartite graphs.
+	// bipartite graphs: the graph side decided literally by Definitions 4
+	// and 5, the hypergraph side by the acyclicity recognizers.
 	r := rand.New(rand.NewSource(41))
 	for iter := 0; iter < 300; iter++ {
 		b := randomBipartite(r, 2+r.Intn(4), 2+r.Intn(4), r.Float64())
+		g := b.G()
 		h1 := b.HypergraphV1().H
 		h2 := b.HypergraphV2().H
-		if Is41Chordal(b) != h1.BergeAcyclic() {
-			t.Fatalf("(i) fails on %v", b.G())
+		c41 := reference.IsMNChordal(g, 4, 1)
+		c62 := reference.IsMNChordal(g, 6, 2)
+		c61 := reference.IsMNChordal(g, 6, 1)
+		if c41 != h1.BergeAcyclic() {
+			t.Fatalf("(i) fails on %v", g)
 		}
-		if Is62Chordal(b) != h1.GammaAcyclic() {
-			t.Fatalf("(ii) fails on %v", b.G())
+		if c62 != h1.GammaAcyclic() {
+			t.Fatalf("(ii) fails on %v", g)
 		}
-		if Is61Chordal(b) != h1.BetaAcyclic() {
-			t.Fatalf("(iii) fails on %v", b.G())
+		if c61 != h1.BetaAcyclic() {
+			t.Fatalf("(iii) fails on %v", g)
 		}
-		// (iv): same statements for H².
-		sw := b.Swap()
-		if Is41Chordal(sw) != h2.BergeAcyclic() || Is62Chordal(sw) != h2.GammaAcyclic() || Is61Chordal(sw) != h2.BetaAcyclic() {
-			t.Fatalf("(iv) fails on %v", b.G())
+		// (iv): the same statements for H²; (m,n)-chordality does not
+		// depend on which side is V1.
+		if c41 != h2.BergeAcyclic() || c62 != h2.GammaAcyclic() || c61 != h2.BetaAcyclic() {
+			t.Fatalf("(iv) fails on %v", g)
 		}
 		// (v)/(vi): Vi-chordal ∧ Vi-conformal ⟺ Hⁱ α-acyclic.
-		if (IsV1Chordal(b) && IsV1Conformal(b)) != h1.AlphaAcyclic() {
-			t.Fatalf("(v) fails on %v", b.G())
+		if (reference.IsV1Chordal(b) && reference.IsV1Conformal(b)) != h1.AlphaAcyclic() {
+			t.Fatalf("(v) fails on %v", g)
 		}
-		if (IsV2Chordal(b) && IsV2Conformal(b)) != h2.AlphaAcyclic() {
-			t.Fatalf("(vi) fails on %v", b.G())
+		if (reference.IsV2Chordal(b) && reference.IsV2Conformal(b)) != h2.AlphaAcyclic() {
+			t.Fatalf("(vi) fails on %v", g)
 		}
+	}
+}
+
+// TestClassifyFrozenMatchesReference holds all seven ClassifyFrozen
+// verdicts to the literal Definition 4/5 checks on random bipartite
+// graphs, incidence graphs of α-, γ- and Berge-acyclic hypergraphs, a
+// tree, K3,4 and the 3×3 grid.
+func TestClassifyFrozenMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	var cases []*bipartite.Graph
+	for trial := 0; trial < 12; trial++ {
+		cases = append(cases, gen.RandomBipartite(r, 2+r.Intn(9), 2+r.Intn(9), 0.3))
+	}
+	for m := 4; m <= 12; m += 4 {
+		cases = append(cases,
+			bipartite.FromHypergraph(gen.AlphaAcyclic(r, m, 3, 2)).B,
+			bipartite.FromHypergraph(gen.GammaAcyclic(r, m, 3, 2)).B,
+			bipartite.FromHypergraph(gen.BergeForest(r, m, 3)).B,
+		)
+	}
+	cases = append(cases, gen.RandomTree(r, 9), gen.CompleteBipartite(3, 4), gen.GridBipartite(3, 3))
+	for _, b := range cases {
+		checkAgainstReference(t, b, ClassifyFrozen(b.Freeze()))
 	}
 }
 
 func TestMCSOrderIsPermutation(t *testing.T) {
 	g := completeGraph(6)
-	order := MCSOrder(g)
+	order := MCSOrder(g.Freeze())
 	seen := map[int]bool{}
 	for _, v := range order {
 		if seen[v] {

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/gen"
+	"repro/internal/reference"
 )
 
 // TestQuickAlphaDefinitionSevenEquivalence checks, property-based, that the
@@ -17,7 +18,7 @@ func TestQuickAlphaDefinitionSevenEquivalence(t *testing.T) {
 	err := quick.Check(func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		h := gen.RandomHypergraph(r, 2+r.Intn(5), 1+r.Intn(5), 4)
-		def7 := IsChordal(h.PrimalGraph()) && h.Conformal()
+		def7 := IsChordal(h.PrimalGraph().Freeze()) && h.Conformal()
 		return h.AlphaAcyclic() == def7
 	}, cfg)
 	if err != nil {
@@ -27,22 +28,20 @@ func TestQuickAlphaDefinitionSevenEquivalence(t *testing.T) {
 
 // TestQuickPEOExistenceMatchesChordality checks that
 // PerfectEliminationOrder succeeds exactly on chordal graphs, using
-// triangulated random graphs as positives and raw random graphs as a mix.
+// triangulated random graphs as positives and raw random graphs, decided
+// by cycle enumeration, as a mix.
 func TestQuickPEOExistenceMatchesChordality(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 300}
 	err := quick.Check(func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		if seed%2 == 0 {
 			g := gen.RandomChordalGraph(r, 2+r.Intn(8), 1+r.Intn(4))
-			_, ok := PerfectEliminationOrder(g)
+			_, ok := PerfectEliminationOrder(g.Freeze())
 			return ok
 		}
 		g := gen.RandomGraph(r, 3+r.Intn(7), r.Float64())
-		_, ok := PerfectEliminationOrder(g)
-		// Cross-validate against MCS-free brute force: a graph is chordal
-		// iff every cycle ≥ 4 has a chord; reuse the library's own
-		// recognizer only for shape (both must agree with each other).
-		return ok == IsChordal(g)
+		_, ok := PerfectEliminationOrder(g.Freeze())
+		return ok == reference.IsChordalGraph(g)
 	}, cfg)
 	if err != nil {
 		t.Error(err)
@@ -72,18 +71,18 @@ func TestQuickClassImplications(t *testing.T) {
 	}
 }
 
-// TestQuickSwapSymmetry checks that V1 recognizers on the swapped graph
-// equal V2 recognizers on the original (the "replace V1 with V2" remark
+// TestQuickSwapSymmetry checks that V1 verdicts on the swapped graph
+// equal V2 verdicts on the original (the "replace V1 with V2" remark
 // before Theorem 2).
 func TestQuickSwapSymmetry(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 300}
 	err := quick.Check(func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		b := gen.RandomBipartite(r, 2+r.Intn(4), 2+r.Intn(4), r.Float64())
-		sw := b.Swap()
-		return IsV1Chordal(sw) == IsV2Chordal(b) &&
-			IsV1Conformal(sw) == IsV2Conformal(b) &&
-			IsV2Chordal(sw) == IsV1Chordal(b)
+		cl, sw := Classify(b), Classify(b.Swap())
+		return sw.V1Chordal == cl.V2Chordal &&
+			sw.V1Conformal == cl.V2Conformal &&
+			sw.V2Chordal == cl.V1Chordal
 	}, cfg)
 	if err != nil {
 		t.Error(err)

@@ -75,8 +75,8 @@ type Connector struct {
 	// b is the mutable scheme view. New sets it eagerly (the caller's
 	// graph); NewFromSnapshot leaves it nil and thaws it from the frozen
 	// view on first use, so booting from a snapshot does no graph rebuild
-	// unless a code path actually needs the mutable form (ranked-cover
-	// enumeration, label resolution at the HTTP boundary).
+	// unless a code path actually needs the mutable form (only ranked-cover
+	// enumeration does).
 	thawOnce sync.Once
 	b        *bipartite.Graph
 

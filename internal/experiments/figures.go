@@ -134,7 +134,7 @@ func EFig6(ctx context.Context) Table {
 		return t
 	}
 	opt := reference.SteinerMinimumNodes(red.B.G(), red.Terminals)
-	v1ok := chordality.IsV1Chordal(red.B) && chordality.IsV1Conformal(red.B)
+	v1ok := chordality.Classify(red.B).AlphaV1()
 	// Corollary 3: minimizing the V1 side alone is equally hard; on this
 	// gadget the minimum V1 count is exactly q iff the instance solves.
 	minV1 := reference.MinimumV2Count(red.B.Swap(), red.Terminals)
@@ -191,7 +191,7 @@ func EFig9(ctx context.Context) Table {
 		gadgetTerms := []int{red.NodeVs[0], red.NodeVs[g.N()-1]}
 		direct := reference.SteinerMinimumNodes(g, terms) - 1
 		viaGadget := reference.MinimumV2Count(red.B, gadgetTerms)
-		v1c := chordality.IsV1Chordal(red.B)
+		v1c := chordality.Classify(red.B).V1Chordal
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("chordal-%d", i), itoa(g.N()), itoa(g.M()),
 			itoa(direct), itoa(viaGadget), fmt.Sprint(v1c),
@@ -210,7 +210,7 @@ func EFig10(ctx context.Context) Table {
 	terms := []int{g.MustID("B"), g.MustID("A")}
 	nonred := reference.IsNonredundantCover(g, intset.FromSlice(long), terms)
 	notMin := !reference.IsMinimumCover(g, intset.FromSlice(long), terms)
-	is62 := chordality.Is62Chordal(b)
+	is62 := chordality.Classify(b).Chordal62
 	return Table{
 		ID:     "E-FIG10",
 		Title:  "Fig 10: Lemma 4 on the single-chord 6-cycle",
@@ -236,7 +236,7 @@ func EFig11(ctx context.Context) Table {
 		Title:  "Fig 11 / Theorem 6: every ordering case fails on its witness set",
 		Header: []string{"case", "terminals", "optimum", "elimination result", "verdict"},
 	}
-	if !chordality.Is61Chordal(b) {
+	if !chordality.Classify(b).Chordal61 {
 		t.Rows = append(t.Rows, []string{"precondition", "(6,1)-chordal", "-", "-", "FAIL"})
 		return t
 	}

@@ -86,10 +86,11 @@ func TestFig6Instance(t *testing.T) {
 }
 
 func TestFig10NotChordal62(t *testing.T) {
-	if chordality.Is62Chordal(fixtures.Fig10()) {
+	cl := chordality.Classify(fixtures.Fig10())
+	if cl.Chordal62 {
 		t.Error("Fig10 must not be (6,2)-chordal")
 	}
-	if !chordality.Is61Chordal(fixtures.Fig10()) {
+	if !cl.Chordal61 {
 		t.Error("Fig10 must be (6,1)-chordal")
 	}
 }
@@ -99,10 +100,11 @@ func TestFig11Shape(t *testing.T) {
 	if b.N() != 12 || b.M() != 16 {
 		t.Fatalf("Fig11 N=%d M=%d", b.N(), b.M())
 	}
-	if !chordality.Is61Chordal(b) {
+	cl := chordality.Classify(b)
+	if !cl.Chordal61 {
 		t.Error("Fig11 must be (6,1)-chordal")
 	}
-	if chordality.Is62Chordal(b) {
+	if cl.Chordal62 {
 		t.Error("Fig11 must not be (6,2)-chordal")
 	}
 	if len(fixtures.Fig11Cases()) != 4 {

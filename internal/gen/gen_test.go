@@ -50,7 +50,7 @@ func TestBergeForestFamily(t *testing.T) {
 func TestCompleteBipartite62(t *testing.T) {
 	for _, dims := range [][2]int{{2, 2}, {3, 3}, {4, 3}, {5, 2}} {
 		b := CompleteBipartite(dims[0], dims[1])
-		if !chordality.Is62Chordal(b) {
+		if !chordality.Classify(b).Chordal62 {
 			t.Errorf("K_{%d,%d} should be (6,2)-chordal", dims[0], dims[1])
 		}
 	}
@@ -63,7 +63,7 @@ func TestRandomTreeIsTree(t *testing.T) {
 		if !b.G().IsForest() || !b.G().IsConnected() {
 			t.Fatal("RandomTree not a tree")
 		}
-		if !chordality.Is41Chordal(b) {
+		if !chordality.Classify(b).Chordal41 {
 			t.Fatal("tree not (4,1)-chordal")
 		}
 	}
@@ -87,7 +87,7 @@ func TestRandomChordalGraph(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for i := 0; i < 100; i++ {
 		g := RandomChordalGraph(r, 2+r.Intn(8), 1+r.Intn(4))
-		if !chordality.IsChordal(g) {
+		if !chordality.IsChordal(g.Freeze()) {
 			t.Fatalf("RandomChordalGraph produced non-chordal %v", g)
 		}
 		if g.N() <= 8 && !reference.IsChordalGraph(g) {

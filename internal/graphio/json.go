@@ -155,7 +155,8 @@ type Report struct {
 
 // NewReport classifies b into a serializable report.
 func NewReport(b *bipartite.Graph) Report {
-	cl := chordality.Classify(b)
+	fb := b.Freeze()
+	cl := chordality.ClassifyFrozen(fb)
 	return Report{
 		Nodes:       b.N(),
 		Arcs:        b.M(),
@@ -168,8 +169,8 @@ func NewReport(b *bipartite.Graph) Report {
 		V1Conformal: cl.V1Conformal,
 		V2Chordal:   cl.V2Chordal,
 		V2Conformal: cl.V2Conformal,
-		H1Degree:    b.HypergraphV1().H.Classify().String(),
-		H2Degree:    b.HypergraphV2().H.Classify().String(),
+		H1Degree:    fb.HypergraphV1().H.Classify().String(),
+		H2Degree:    fb.HypergraphV2().H.Classify().String(),
 	}
 }
 

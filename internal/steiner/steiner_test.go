@@ -76,7 +76,7 @@ func TestAlgorithm2OnChordal62(t *testing.T) {
 		if !g.IsConnected() || g.N() < 3 {
 			continue
 		}
-		if !chordality.Is62Chordal(b) {
+		if !chordality.Classify(b).Chordal62 {
 			t.Fatalf("workload not (6,2)-chordal: %v", h)
 		}
 		checked++
@@ -364,7 +364,7 @@ func TestFig6X3CReduction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The gadget is V1-chordal and V1-conformal (Theorem 2).
-	if !chordality.IsV1Chordal(red.B) || !chordality.IsV1Conformal(red.B) {
+	if !chordality.Classify(red.B).AlphaV1() {
 		t.Error("X3C gadget should be V1-chordal and V1-conformal")
 	}
 	// Steiner optimum ≤ 4q+1 iff the instance is solvable; here it is.
@@ -415,7 +415,7 @@ func TestCSPCReduction(t *testing.T) {
 			continue
 		}
 		red := steiner.ReduceCSPC(g)
-		if !chordality.IsV1Chordal(red.B) {
+		if !chordality.Classify(red.B).V1Chordal {
 			t.Fatalf("CSPC gadget should be V1-chordal for chordal %v", g)
 		}
 		// Min arcs of a connected subgraph over P in g = Steiner nodes − 1;
@@ -441,10 +441,11 @@ func TestCSPCReduction(t *testing.T) {
 func TestTheorem6Fig11(t *testing.T) {
 	b := fixtures.Fig11()
 	g := b.G()
-	if !chordality.Is61Chordal(b) {
+	cl := chordality.Classify(b)
+	if !cl.Chordal61 {
 		t.Fatal("Fig 11 graph must be (6,1)-chordal")
 	}
-	if chordality.Is62Chordal(b) {
+	if cl.Chordal62 {
 		t.Fatal("Fig 11 graph must not be (6,2)-chordal (else Corollary 5 would apply)")
 	}
 	fg := g.Freeze()
