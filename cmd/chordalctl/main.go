@@ -97,6 +97,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -702,7 +703,7 @@ func runCompile(out, warm string, files []string, stdin io.Reader, stdout, stder
 	} else {
 		data = snapshot.Encode(conn.Frozen(), conn.Class())
 	}
-	if err := os.WriteFile(out, data, 0o644); err != nil {
+	if err := writeFileAtomic(out, data); err != nil {
 		return err
 	}
 	if verbose {
@@ -714,6 +715,35 @@ func runCompile(out, warm string, files []string, stdin io.Reader, stdout, stder
 		fmt.Fprintf(stdout, "chordalctl: warmed %d cache entries from %s\n", warmed, warm)
 	}
 	return nil
+}
+
+// writeFileAtomic replaces path with data (mode 0644) so that a crash or
+// a full disk at any point leaves either the previous file or the whole
+// new one: the bytes go to a temporary file in the same directory, which
+// is synced and then renamed over path. The temporary file is removed on
+// any failure.
+func writeFileAtomic(path string, data []byte) error {
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }
 
 // warmService answers every query of the -warm file through svc so the

@@ -227,3 +227,57 @@ func TestCompileFlagConflicts(t *testing.T) {
 		}
 	}
 }
+
+// TestRunCompileReplacesAtomically: compiling over an existing snapshot
+// leaves the new, decodable file and no temporary sibling.
+func TestRunCompileReplacesAtomically(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "scheme.snap")
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-compile", out}, strings.NewReader(fig3cInput), &stdout, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	small := "v1 A\nv2 r\nedge A r\n"
+	if err := run([]string{"-compile", out}, strings.NewReader(small), &stdout, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapshot.ReadFile(out)
+	if err != nil {
+		t.Fatalf("recompiled file does not decode: %v", err)
+	}
+	if snap.Frozen.N() != 2 || snap.Frozen.M() != 1 {
+		t.Fatalf("snapshot has %d nodes, %d arcs; want the second scheme's 2 and 1", snap.Frozen.N(), snap.Frozen.M())
+	}
+	assertDirHolds(t, dir, "scheme.snap")
+}
+
+// TestRunCompileOntoDirectory: a -compile target that is a directory
+// fails, and the temporary file written beside it is removed.
+func TestRunCompileOntoDirectory(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "taken")
+	if err := os.Mkdir(out, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-compile", out}, strings.NewReader(fig3cInput), &stdout, &stderr); err == nil {
+		t.Fatal("-compile onto a directory succeeded")
+	}
+	assertDirHolds(t, dir, "taken")
+}
+
+// assertDirHolds fails t unless dir holds exactly the named entries.
+func assertDirHolds(t *testing.T, dir string, names ...string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		got = append(got, e.Name())
+	}
+	if strings.Join(got, " ") != strings.Join(names, " ") {
+		t.Fatalf("%s holds %q, want %q", dir, got, names)
+	}
+}

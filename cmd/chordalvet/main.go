@@ -146,7 +146,8 @@ func printPath(stdout, stderr io.Writer) int {
 }
 
 // copyExecutable installs src at dst with the executable bit set,
-// replacing atomically so a concurrent go vet never sees a torn binary.
+// replacing atomically so a concurrent go vet never sees a torn binary:
+// the copy is synced to disk before it is renamed over dst.
 func copyExecutable(src, dst string) error {
 	if err := os.MkdirAll(filepath.Dir(dst), 0o777); err != nil {
 		return err
@@ -156,8 +157,22 @@ func copyExecutable(src, dst string) error {
 		return err
 	}
 	tmp := dst + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o755); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o755)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, dst)
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, dst)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
