@@ -66,11 +66,14 @@
 // in -log-format (text by default, json for machine ingestion), stamped
 // with the request's trace id.
 //
-// -cache-shards splits each scheme's answer cache into n independently
-// locked shards (rounded up to a power of two; default: GOMAXPROCS, at
-// most 64) — raise it when a profiler shows hot cache locks at high QPS,
-// or pin it to 1 for the v1 single-lock global-LRU semantics. Per-shard
-// occupancy is visible in GET /v1/stats.
+// -cache-shards splits each scheme's answer cache into n shards (rounded
+// up to a power of two; default: GOMAXPROCS, at most 64). Hits take no
+// lock; misses and fills serialize on their shard's mutex, so raise it
+// when a profiler shows that mutex contended at high miss rates. A full
+// shard evicts by cost-aware sampled recency, which is plain LRU only
+// while every recorded solve cost is under ~0.5 ms; with 1 shard that
+// rule runs over the whole cache. Per-shard occupancy is visible in
+// GET /v1/stats.
 //
 // Reads the graph from the file or standard input ("-batch -" reads the
 // queries from standard input instead; the graph must then come from a

@@ -330,8 +330,9 @@ func (c *Connector) dispatch(ctx context.Context, terminals []int, q queryConfig
 }
 
 // Interpretation is one candidate connection in a ranked enumeration:
-// a nonredundant cover of the query with its auxiliary (non-terminal)
-// objects.
+// the node set of a connection tree over the query (every leaf a
+// terminal; it may be redundant, as Fig 1's works-in reading is) with its
+// auxiliary (non-terminal) objects.
 type Interpretation struct {
 	Nodes     intset.Set
 	Auxiliary intset.Set // Nodes minus the terminals
@@ -340,8 +341,9 @@ type Interpretation struct {
 // Interpretations enumerates connections over the terminals ranked by the
 // number of auxiliary objects — the paper's interactive-disambiguation
 // order, where the minimal interpretation is proposed first. It lists
-// nonredundant covers with at most maxAux auxiliary nodes, up to limit
-// results, smallest first (ties broken canonically).
+// the node sets of connection trees (see steiner.RankedCovers) with at
+// most maxAux auxiliary nodes, up to limit results, smallest first (ties
+// broken canonically).
 //
 // The enumeration (steiner.RankedCovers) is exponential in maxAux,
 // matching the interactive use-case of schema-sized graphs; ctx bounds it,

@@ -50,7 +50,7 @@ func shardedRandomTerminals(r *rand.Rand, n int) []int {
 // random scheme families of the PR-3 suite, a default-sharded Service
 // must answer every query — including repeats (cache hits), forced
 // methods and interpretation requests — bit-for-bit identically to a
-// WithCacheShards(1) Service (the exact v1 single-lock LRU) and to an
+// WithCacheShards(1) Service (one shard over the whole cache) and to an
 // uncached Connector, with identical aggregate stats totals. Sharding may
 // only change lock granularity, never an answer or a counter.
 func TestShardedCacheEquivalence(t *testing.T) {

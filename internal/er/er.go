@@ -174,8 +174,9 @@ func (s *Scheme) Bipartite() (*bipartite.Graph, error) {
 }
 
 // Interpretation is a candidate reading of a query: the objects of a
-// nonredundant connection, split into the query objects and the auxiliary
-// objects the user would additionally need to know.
+// connection tree over it (every leaf a query object; it may be redundant,
+// as Fig 1's works-in reading is), split into the query objects and the
+// auxiliary objects the user would additionally need to know.
 type Interpretation struct {
 	Objects   []string
 	Auxiliary []string

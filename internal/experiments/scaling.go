@@ -54,6 +54,6 @@ func EScaling(ctx context.Context) Table {
 		prev = el
 	}
 	t.Notes = append(t.Notes,
-		"worst-case the O(m³) Gilmore conformality scan dominates; measured growth per size doubling stays in the x2–x4 range on these sparse inputs, nowhere near exponential")
+		"worst-case the O(m³) Gilmore conformality scan dominates; the verdict requires growth per size doubling under x32, a generous polynomial bound that still rejects exponential growth")
 	return t
 }
