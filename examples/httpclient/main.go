@@ -33,13 +33,18 @@ func library() *chordal.Bipartite {
 	for _, a := range []string{"reader", "book", "author", "branch"} {
 		attrs[a] = b.AddV1(a)
 	}
-	for name, over := range map[string][]string{
-		"borrows": {"reader", "book"},
-		"wrote":   {"author", "book"},
-		"holds":   {"branch", "book"},
+	// A slice, not a map, so node ids and therefore the printed order are
+	// the same on every run.
+	for _, rel := range []struct {
+		name string
+		over []string
+	}{
+		{"borrows", []string{"reader", "book"}},
+		{"wrote", []string{"author", "book"}},
+		{"holds", []string{"branch", "book"}},
 	} {
-		r := b.AddV2(name)
-		for _, a := range over {
+		r := b.AddV2(rel.name)
+		for _, a := range rel.over {
 			b.AddEdge(attrs[a], r)
 		}
 	}
