@@ -60,7 +60,7 @@ func TestRandomTreeIsTree(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	for i := 0; i < 50; i++ {
 		b := RandomTree(r, 1+r.Intn(15))
-		if !b.G().IsForest() || !b.G().IsConnected() {
+		if !b.Freeze().G().IsForest() || !b.G().IsConnected() {
 			t.Fatal("RandomTree not a tree")
 		}
 		if !chordality.Classify(b).Chordal41 {

@@ -184,9 +184,6 @@ func TestFrozenTraversalMatchesMutable(t *testing.T) {
 		if got, want := f.ComponentCount(), len(g.Components()); got != want {
 			t.Fatalf("ComponentCount: frozen %d, mutable %d", got, want)
 		}
-		if got, want := f.IsForest(), g.IsForest(); got != want {
-			t.Fatalf("IsForest: frozen %v, mutable %v", got, want)
-		}
 
 		mask, ok := f.ComponentBits(terms, sc)
 		comp := g.ComponentContaining(terms)

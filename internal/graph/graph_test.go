@@ -191,18 +191,18 @@ func TestCovers(t *testing.T) {
 
 func TestIsForestAndTreeOver(t *testing.T) {
 	g := path("a", "b", "c")
-	if !g.IsForest() {
+	if !g.Freeze().IsForest() {
 		t.Error("path not recognized as forest")
 	}
 	// A tree over the terminals is a connected forest covering them.
-	if !g.Covers(nil, []int{0, 2}) || !g.IsForest() {
+	if !g.Covers(nil, []int{0, 2}) || !g.Freeze().IsForest() {
 		t.Error("path is a tree over endpoints")
 	}
 	c := cycle("a", "b", "c", "d")
-	if c.IsForest() {
+	if c.Freeze().IsForest() {
 		t.Error("cycle recognized as forest")
 	}
-	if c.Covers(nil, []int{0}) && c.IsForest() {
+	if c.Covers(nil, []int{0}) && c.Freeze().IsForest() {
 		t.Error("cycle is not a tree")
 	}
 }

@@ -155,9 +155,3 @@ func (g *Graph) ComponentContaining(seeds []int) []int {
 	}
 	return comp
 }
-
-// IsForest reports whether g has no cycles.
-func (g *Graph) IsForest() bool {
-	// A graph is a forest iff m = n − (number of components).
-	return g.M() == g.N()-len(g.Components())
-}
