@@ -395,7 +395,11 @@ func BenchmarkFreeze(b *testing.B) {
 }
 
 // BenchmarkSteinerFrozen pins the per-query solver cost of Algorithms 1
-// and 2 over one pre-compiled scheme: the serving path's solver kernel.
+// and 2 and of the exact Dreyfus–Wagner program over one pre-compiled
+// scheme: the serving path's solver kernels. The exact cases are cyclic
+// schemes, where Theorem 2 leaves no polynomial solver: an 8×8 grid and a
+// 4,000-node random scheme of average degree about 2.7, at 2 and 8
+// terminals.
 func BenchmarkSteinerFrozen(b *testing.B) {
 	for _, m := range []int{40, 160} {
 		r := rand.New(rand.NewSource(int64(m)))
@@ -424,6 +428,27 @@ func BenchmarkSteinerFrozen(b *testing.B) {
 				}
 			}
 		})
+	}
+	r := rand.New(rand.NewSource(41))
+	for _, s := range []struct {
+		name string
+		bg   *bipartite.Graph
+	}{
+		{"grid=8x8", gen.GridBipartite(8, 8)},
+		{"random=4000", gen.RandomConnectedBipartite(r, 2000, 2000, 0.00125)},
+	} {
+		fg := s.bg.Freeze().G()
+		perm := r.Perm(fg.N())
+		for _, k := range []int{2, 8} {
+			terms := perm[:k]
+			b.Run(fmt.Sprintf("Exact/%s/k=%d", s.name, k), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := steiner.ExactFrozenShared(context.Background(), fg, terms, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

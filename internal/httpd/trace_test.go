@@ -117,12 +117,13 @@ func TestSlowQueryForensics(t *testing.T) {
 	tracer := trace.New(trace.Config{SlowQuery: 5 * time.Millisecond, Logger: logger})
 	h := New(reg, WithTracer(tracer), WithAccessLog(logger))
 
-	// 12 spread-out terminals on a 10x10 grid force ~tens of ms of
-	// Dreyfus–Wagner DP — far above the 5ms slow threshold, and large
-	// enough that the phase spans dominate the request wall time.
-	labels := make([]string, 12)
+	// 13 spread-out terminals on a 10x10 grid force about 27ms of
+	// Dreyfus–Wagner DP on a 2-core x86 host (12 take about 11ms): five
+	// times the 5ms slow threshold, and large enough that the phase spans
+	// dominate the request wall time.
+	labels := make([]string, 13)
 	for i := range labels {
-		labels[i] = fmt.Sprintf("g%d_%d", (i*10)/12, (i*7)%10)
+		labels[i] = fmt.Sprintf("g%d_%d", (i*10)/len(labels), (i*7)%10)
 	}
 	body, _ := json.Marshal(map[string]any{
 		"scheme": "grid", "labels": labels, "method": "exact",

@@ -105,3 +105,35 @@ func TestMinimumTreeFrozenWarmAllocs(t *testing.T) {
 		t.Fatalf("MinimumTreeFrozenShared allocates %.1f times per warm query, want 2 (the result's nodes and edges)", allocs)
 	}
 }
+
+// TestExactFrozenWarmAllocs pins the warm cost of an exact query: the
+// sorted terminal set, the Dreyfus–Wagner tables and the label-ordered
+// BFS's buckets and FIFO come from the pool, and the reconstruction walks
+// a fixed-size stack, so a query allocates only the result's node and
+// edge slices, at 2 terminals as at 8. A solver that rebuilds paths with
+// fg.ShortestPath and a recursive closure makes 8 and 35 here.
+func TestExactFrozenWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation makes sync.Pool drop items; allocs are expected")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+
+	fg := gen.GridBipartite(8, 8).Freeze().G() // cyclic: no polynomial band
+	perm := rand.New(rand.NewSource(37)).Perm(fg.N())
+	for _, k := range []int{2, 8} {
+		terminals := perm[:k]
+		for i := 0; i < 3; i++ { // warm the pool
+			if _, err := steiner.ExactFrozenShared(ctx, fg, terminals, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := steiner.ExactFrozenShared(ctx, fg, terminals, nil); err != nil {
+				t.Error(err)
+			}
+		})
+		if allocs != 2 {
+			t.Fatalf("ExactFrozenShared allocates %.1f times per warm %d-terminal query, want 2 (the result's nodes and edges)", allocs, k)
+		}
+	}
+}

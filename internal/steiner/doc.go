@@ -54,13 +54,15 @@
 // Algorithm1WithOrder and EliminateOrderedStrict. Connectivity probes and
 // BFS go through the bit-parallel wave kernels when the view carries a
 // compiled adjacency matrix (falling back to CSR walks otherwise), and all
-// per-query scratch — alive/terminal masks, distance rows, the flat
-// Dreyfus–Wagner tables — is drawn from a sync.Pool, so a warm query
-// allocates only its result. The exact answers — node sets, edge order,
-// errors — are pinned case by case in testdata/answers.golden, and
-// internal/reference holds the brute-force oracles the tests check the
-// guarantees against. RankedCovers, which enumerates interpretations, runs
-// on the mutable graph.
+// per-query scratch — alive/terminal masks, the flat Dreyfus–Wagner
+// tables and their BFS buckets, the heuristic's terminal distance rows —
+// is drawn from a sync.Pool. So a warm Algorithm 1, Algorithm 2,
+// MinimumTreeFrozenShared or exact query allocates only its result; the
+// heuristic still allocates one fg.ShortestPath per MST edge. The exact
+// answers — node sets, edge order, errors — are pinned case by case in
+// testdata/answers.golden, and internal/reference holds the brute-force
+// oracles the tests check the guarantees against. RankedCovers, which
+// enumerates interpretations, runs on the mutable graph.
 //
 // Shared captures batch-level reusable work (terminal component masks and
 // BFS distance rows): build one with NewShared + Precompute, then pass it

@@ -16,13 +16,17 @@ package steiner
 //     the shared CSR arrays, with no induced-subgraph copy, and reads the
 //     component's Lemma 1 ordering from bipartite.Frozen's per-component
 //     memo, so H¹ is built once per component rather than per query;
-//   - the Dreyfus–Wagner tables are flat int32 blocks indexed s*n+v, with
-//     BFS distance rows built only for the terminals' component;
-//   - every per-query buffer (bit scratch, alive/terminal masks, distance
-//     rows, DP tables, spanning-tree queue) comes from a sync.Pool, so a
-//     steady-state Algorithm 1 or 2 query on a warm pool allocates only its
-//     result: the node and edge slices, each sized exactly once (see
-//     TestAlgorithm2FrozenWarmAllocs).
+//   - the Dreyfus–Wagner tables are flat int32 blocks indexed by subset
+//     and component-local id, s*|C|+i, and each subset's grow step is one
+//     label-ordered BFS over the component's CSR arcs, so no distance rows
+//     are built;
+//   - every per-query buffer (bit scratch, alive/terminal masks, DP
+//     tables, BFS buckets and FIFOs, the heuristic's terminal distance
+//     rows) comes from a sync.Pool, so a steady-state Algorithm 1, Algorithm
+//     2 or exact query on a warm pool allocates only its result: the node
+//     and edge slices, each sized exactly once (see
+//     TestAlgorithm2FrozenWarmAllocs and TestExactFrozenWarmAllocs). The
+//     heuristic's fg.ShortestPath expansions still allocate.
 //
 // Every function here only reads the frozen views (the Lemma 1 memo, which
 // bipartite.Frozen fills once per component and publishes atomically, is
@@ -42,6 +46,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/bipartite"
@@ -67,13 +73,15 @@ type frozenScratch struct {
 	comp   graph.Bits        // component mask (Exact/Approximate)
 	term   graph.Bits        // terminal mask / Prim in-tree mask
 	seen   graph.Bits        // spanning-tree visited mask
-	queue  []int32           // spanning-tree FIFO
+	queue  []int32           // spanning-tree FIFO / Exact grow-step FIFO
 	ints   []int             // member / order / removed-set list
-	ints2  []int             // second int list (Prim bestTo)
-	rowOf  []int32           // Exact: node id → distance-row index
-	dist   []int32           // flat BFS distance rows, row-major
-	dp     []int32           // Exact: flat DP table, dp[s*n+v]
-	choice []int32           // Exact: flat reconstruction table
+	ints2  []int             // Exact terminal set / Prim bestTo
+	local  []int32           // Exact: node id → component-local id; Prim best
+	dist   []int32           // Approximate: terminal BFS distance rows
+	bucket []int32           // Exact: counting-sort bucket ends per label
+	seeds  []int32           // Exact: local ids sorted by label
+	dp     []int32           // Exact: DP labels, dp[s*|C|+i] for local id i
+	choice []int32           // Exact: how each label was reached
 }
 
 var scratchPool = sync.Pool{New: func() any { return &frozenScratch{} }}
@@ -409,192 +417,212 @@ func lemma1Frozen(ctx context.Context, fb *bipartite.Frozen, terminals []int, sh
 }
 
 // ExactFrozenShared solves the node-minimum Steiner problem exactly with
-// the Dreyfus–Wagner dynamic program over terminal subsets. With unit edge
-// weights a tree on t nodes has t−1 edges, so minimizing edges minimizes
-// nodes. Complexity O(3^k·|C| + 2^k·|C|²) for k terminals in a component
-// C — exponential in k, as Theorem 2's NP-completeness predicts for the
-// general case; at most ExactTerminalLimit terminals are accepted.
+// the Dreyfus–Wagner dynamic program over terminal subsets, using the grow
+// step of Erickson, Monma & Veinott (Math. Oper. Res. 1987). With unit
+// edge weights a tree on t nodes has t−1 edges, so minimizing edges
+// minimizes nodes. Complexity O(3^k·|C| + 2^k·(|C|+|A_C|)) for k terminals
+// in a component C with |A_C| arcs — exponential in k, as Theorem 2's
+// NP-completeness predicts for the general case; at most
+// ExactTerminalLimit terminals are accepted.
 //
-// The state is flat int32: the BFS distance rows are built only for the
-// nodes of the terminals' component C (an intermediate Steiner point of a
-// connected cover can never leave it), and the dp/choice tables are two
-// contiguous blocks indexed s·n+v, so for k+1 terminals peak memory is
-// (|C| + 2·2^k)·n int32 words. The context is checked before the distance
-// rows are built, per cancelStride rows, and once per terminal subset of
-// the DP (each subset costs O(|C|²) work, so a deadline is honored well
-// before the exponential loop completes). Component masks come from the
-// batch-planner Shared sh when it has them; a nil sh means nothing is
+// dp[S][v] is the fewest edges of a tree spanning S ∪ {v}, for S a set of
+// non-root terminals. Per subset, the merge step sets dp[S][v] to the best
+// split of S at v, and the grow step lowers it to f(v) = min_u dp[S][u] +
+// d(u, v). One BFS does that: seed every node with its merged label, pop
+// labels in nondecreasing order, each node once, and offer label+1 to the
+// node's neighbours. No offer undercuts f, since f(v) ≤ f(u)+1 along every
+// arc. And the neighbour p of v on a shortest path from the u attaining
+// f(v) has f(p) = f(v)−1, so by induction p is popped at f(p) and offers v
+// its f(v). Seeds are counting-sorted by label and merged with the FIFO of
+// lowered labels, which stays sorted because each offer is the popped
+// label plus one. No distance row is built; the offering arcs, recorded in
+// choice, rebuild the paths.
+//
+// dp and choice are flat int32 blocks indexed by subset and component-local
+// id, 2^(k−1)·|C| words each, beside O(n) words of masks and the id map;
+// all come from the pool, so a warm query allocates only its result. The
+// context is checked once per terminal subset, so a deadline is honored
+// well before the exponential loop completes. Component masks come from
+// the batch-planner Shared sh when it has them; a nil sh means nothing is
 // precomputed.
 func ExactFrozenShared(ctx context.Context, fg *graph.Frozen, terminals []int, sh *Shared) (Tree, error) {
-	ts := intset.FromSlice(terminals)
-	if ts.Len() == 0 {
+	sc := getScratch(fg.N())
+	defer sc.release()
+	ts := append(sc.ints2[:0], terminals...) // the terminal set, ascending
+	slices.Sort(ts)
+	ts = slices.Compact(ts)
+	sc.ints2 = ts
+	switch {
+	case len(ts) == 0:
 		return Tree{}, ErrEmptyTerminals
-	}
-	if ts.Len() == 1 {
-		return Tree{Nodes: ts.Clone()}, nil
-	}
-	if ts.Len() > ExactTerminalLimit {
-		return Tree{}, fmt.Errorf("steiner: %d terminals: %w", ts.Len(), ErrTooManyTerminals)
+	case len(ts) == 1:
+		return Tree{Nodes: intset.Set{ts[0]}}, nil
+	case len(ts) > ExactTerminalLimit:
+		return Tree{}, fmt.Errorf("steiner: %d terminals: %w", len(ts), ErrTooManyTerminals)
 	}
 	if err := ctx.Err(); err != nil {
 		return Tree{}, err
 	}
 	tr := trace.FromContext(ctx)
-	n := fg.N()
-	sc := getScratch(n)
-	defer sc.release()
 	psp := tr.StartSpan("solve.probe")
 	comp, err := componentAliveBits(fg, terminals, sh, sc, sc.comp)
 	psp.End()
 	if err != nil {
 		return Tree{}, err
 	}
-	// Distance rows, one per component member, restricted to the component:
-	// distances between members are unaffected (shortest paths cannot leave
-	// a component) and everything else is -1 on both paths.
-	rowsp := tr.StartSpan("solve.rows")
+	// Component-local ids follow node ids, so the merge's and the relaxation's
+	// sweeps — and therefore tie-breaking — follow node ids.
 	members := comp.AppendOnes(sc.ints[:0])
 	sc.ints = members
 	c := len(members)
-	rowsp.AnnotateInt("rows", int64(c))
-	rowOf := grow32(sc.rowOf, n)
-	sc.rowOf = rowOf
+	local := grow32(sc.local, fg.N())
+	sc.local = local
 	for i, u := range members {
-		rowOf[u] = int32(i)
+		local[u] = int32(i)
 	}
-	dist := grow32(sc.dist, c*n)
-	sc.dist = dist
-	for i, u := range members {
-		if i&(cancelStride-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				rowsp.End()
-				return Tree{}, err
-			}
-		}
-		fg.BFSDistancesBits(u, comp, dist[i*n:(i+1)*n], sc.bit)
-	}
-	rowsp.End()
 
-	k := ts.Len() - 1 // subsets range over ts[0..k-1]; ts[k] is the root
-	root := ts[k]
-	const inf = math.MaxInt32
+	k := len(ts) - 1 // subsets range over ts[0..k-1]; ts[k] is the root
 	size := 1 << uint(k)
+	const inf = math.MaxInt32 / 2 // inf+inf still fits in an int32
 	dsp := tr.StartSpan("solve.dp")
 	dsp.AnnotateInt("subsets", int64(size))
-	// dp and choice are flat blocks, entry (s, v) at s*n+v. Only member
-	// columns are ever read or written (a state is finite only for nodes of
-	// the terminals' component), so only those are initialized; choice needs
-	// no initialization at all — it is read only for finite composite dp
-	// states, and every write of such a state writes its choice too.
-	dp := grow32(sc.dp, size*n)
+	// Row s of dp and choice holds subset s's labels at s*c. choice is −1−u
+	// when the label came from neighbour u, a split sub of s when it came
+	// from the merge, and 0 at a singleton's own terminal.
+	dp := grow32(sc.dp, size*c)
 	sc.dp = dp
-	choice := grow32(sc.choice, size*n)
+	choice := grow32(sc.choice, size*c)
 	sc.choice = choice
 	for s := 1; s < size; s++ {
-		b := s * n
-		for _, v := range members {
-			dp[b+v] = inf
-		}
-	}
-	for i := 0; i < k; i++ {
-		trow := dist[int(rowOf[ts[i]])*n:]
-		b := (1 << uint(i)) * n
-		for _, v := range members {
-			if d := trow[v]; d >= 0 {
-				dp[b+v] = d
-			}
-		}
-	}
-	for s := 1; s < size; s++ {
-		if s&(s-1) == 0 {
-			continue // singleton: base case done
-		}
 		if err := ctx.Err(); err != nil {
 			dsp.End()
 			return Tree{}, err
 		}
-		b := s * n
-		// Merge step: split S at v. Members ascend in id order, so updates
-		// — and therefore tie-breaking — follow node ids.
-		for _, v := range members {
-			for sub := (s - 1) & s; sub > 0; sub = (sub - 1) & s {
-				if sub < s-sub {
-					break // each unordered split once
-				}
-				if dp[sub*n+v] < inf && dp[(s&^sub)*n+v] < inf {
-					if c := dp[sub*n+v] + dp[(s&^sub)*n+v]; c < dp[b+v] {
-						dp[b+v] = c
-						choice[b+v] = int32(sub)
-					}
+		row, ch := dp[s*c:(s+1)*c], choice[s*c:(s+1)*c]
+		for v := range row {
+			row[v] = inf
+		}
+		if s&(s-1) == 0 {
+			t := local[ts[bits.TrailingZeros(uint(s))]]
+			row[t], ch[t] = 0, 0
+		}
+		// Merge step: each unordered split of s once, larger part first, one
+		// sweep over two contiguous rows per split. Each node sees the splits
+		// in the same order, so the first best split wins as it always has.
+		for sub := (s - 1) & s; sub >= s&^sub; sub = (sub - 1) & s {
+			a, b := dp[sub*c:(sub+1)*c], dp[(s&^sub)*c:(s&^sub+1)*c]
+			for v := range row {
+				if x := a[v] + b[v]; x < row[v] {
+					row[v], ch[v] = x, int32(sub)
 				}
 			}
 		}
-		// Grow step: attach a path u..v, relaxing over the distance rows.
-		for _, v := range members {
-			for ui, u := range members {
-				if u == v || dp[b+u] >= inf {
-					continue
-				}
-				d := dist[ui*n+v]
-				if d < 0 {
-					continue
-				}
-				if c := dp[b+u] + d; c < dp[b+v] {
-					dp[b+v] = c
-					choice[b+v] = int32(-1 - u)
-				}
-			}
-		}
+		growLabels(fg, members, local, row, ch, sc)
 	}
 	full := size - 1
-	if dp[full*n+root] >= inf {
+	root := local[ts[k]]
+	if dp[full*c+int(root)] >= inf {
 		dsp.End()
 		return Tree{}, ErrDisconnectedTerminals
 	}
 	dsp.End()
 
-	// Reconstruct the node set into the alive mask.
+	// Reconstruct the node set into the alive mask, walking choice from
+	// (full, root): an arc moves to the neighbour, a split continues with
+	// one part and stacks the other. Pending parts are disjoint and nonempty,
+	// so fewer than k are stacked at once.
 	rsp := tr.StartSpan("solve.render")
 	nodes := sc.alive
 	nodes.Reset()
-	var rec func(s int, v int)
-	rec = func(s int, v int) {
-		nodes.Set(v)
-		if s&(s-1) == 0 {
-			var ti int
-			for i := 0; i < k; i++ {
-				if s == 1<<uint(i) {
-					ti = ts[i]
-				}
+	var stack [ExactTerminalLimit]struct{ s, v int32 }
+	stack[0].s, stack[0].v = int32(full), root
+	for top := 1; top > 0; {
+		top--
+		s, v := stack[top].s, stack[top].v
+		for {
+			nodes.Set(members[v])
+			ch := choice[int(s)*c+int(v)]
+			if ch < 0 {
+				v = -1 - ch
+				continue
 			}
-			for _, x := range fg.ShortestPath(ti, v) {
-				nodes.Set(x)
+			if ch == 0 {
+				break // a singleton's terminal
 			}
-			return
+			stack[top].s, stack[top].v = s&^ch, v
+			top++
+			s = ch
 		}
-		ch := choice[s*n+v]
-		if ch < 0 {
-			u := int(-1 - ch)
-			for _, x := range fg.ShortestPath(u, v) {
-				nodes.Set(x)
-			}
-			rec(s, u)
-			return
-		}
-		rec(int(ch), v)
-		rec(s&^int(ch), v)
 	}
-	rec(full, root)
-
 	t, err := spanningTreeBits(fg, nodes, sc)
 	rsp.End()
 	if err != nil {
 		return Tree{}, err
 	}
-	if got, want := t.Nodes.Len(), int(dp[full*n+root])+1; got > want {
+	if got, want := t.Nodes.Len(), int(dp[full*c+int(root)])+1; got > want {
 		return Tree{}, fmt.Errorf("steiner: reconstruction produced %d nodes for cost %d (internal error)", got, want-1)
 	}
 	return t, nil
+}
+
+// growLabels is the grow step of ExactFrozenShared over one subset's row
+// of the component's labels: it lowers each label to min_u row[u] + d(u, v),
+// setting ch[v] = −1−u for the neighbour u that lowered it. Labels are
+// popped in nondecreasing order. The seeds are counting-sorted into one
+// bucket per label from lo, the smallest, to lo+|C|−1; a larger seed is
+// lowered anyway, since no final label exceeds lo+|C|−1. Each bucket is
+// followed by the FIFO's labels of the same value, pushed while the bucket
+// before was popped, and a seed lowered since it was sorted is skipped.
+func growLabels(fg *graph.Frozen, members []int, local, row, ch []int32, sc *frozenScratch) {
+	c := int32(len(row))
+	lo := row[0]
+	for _, x := range row {
+		lo = min(lo, x)
+	}
+	end := grow32(sc.bucket, int(c)+1) // end[d]: one past label lo+d's seeds
+	seeds := grow32(sc.seeds, int(c))
+	sc.bucket, sc.seeds = end, seeds
+	clear(end)
+	for _, x := range row {
+		if d := x - lo; d < c {
+			end[d+1]++
+		}
+	}
+	for d := int32(1); d <= c; d++ {
+		end[d] += end[d-1]
+	}
+	for v, x := range row {
+		if d := x - lo; d < c {
+			seeds[end[d]] = int32(v)
+			end[d]++
+		}
+	}
+	queue := sc.queue[:0]
+	head, next := 0, int32(0)
+	for d := int32(0); d < c; d++ {
+		label := lo + d
+		for i := next; ; i++ {
+			var u int32
+			if i < end[d] {
+				if u = seeds[i]; row[u] != label {
+					continue
+				}
+			} else if head < len(queue) && row[queue[head]] == label {
+				u = queue[head]
+				head++
+			} else {
+				break
+			}
+			for _, w := range fg.Neighbors(members[u]) {
+				if v := local[w]; label+1 < row[v] {
+					row[v], ch[v] = label+1, -1-u
+					queue = append(queue, v)
+				}
+			}
+		}
+		next = end[d]
+	}
+	sc.queue = queue[:0]
 }
 
 // ApproximateFrozenShared computes a Steiner tree with the classical
@@ -647,8 +675,8 @@ func ApproximateFrozenShared(ctx context.Context, fg *graph.Frozen, terminals []
 	msp := tr.StartSpan("solve.mst")
 	inTree := sc.term
 	inTree.Reset()
-	best := grow32(sc.rowOf, k)
-	sc.rowOf = best
+	best := grow32(sc.local, k)
+	sc.local = best
 	if cap(sc.ints2) < k {
 		sc.ints2 = make([]int, k)
 	}

@@ -2,6 +2,7 @@ package steiner_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -21,27 +22,56 @@ func pickTerminals(r *rand.Rand, n, k int) []int {
 	return perm[:k]
 }
 
+// TestExactAgainstReference holds ExactFrozenShared to the brute-force
+// minimum on small schemes of every shape: random connected, grids, trees,
+// α-acyclic incidence graphs, and disjoint unions whose terminals lie in
+// the later part, so that component-local ids differ from node ids. It
+// draws 1 to 6 terminals from one component. Each answer must be a valid
+// tree with the minimum node count. The tree drawn through a Shared from
+// Precompute must equal the nil-Shared tree.
 func TestExactAgainstReference(t *testing.T) {
 	r := rand.New(rand.NewSource(101))
-	for iter := 0; iter < 150; iter++ {
-		b := gen.RandomConnectedBipartite(r, 2+r.Intn(4), 2+r.Intn(4), 0.3)
-		g := b.G()
-		k := 2 + r.Intn(3)
-		if k > g.N() {
-			k = g.N()
+	for iter := 0; iter < 300; iter++ {
+		var b *bipartite.Graph
+		base := 0 // terminals are drawn from the component of a node ≥ base
+		switch iter % 5 {
+		case 0:
+			b = gen.RandomConnectedBipartite(r, 2+r.Intn(4), 2+r.Intn(4), 0.3)
+		case 1:
+			b = gen.GridBipartite(2+r.Intn(2), 2+r.Intn(3))
+		case 2:
+			b = gen.RandomTree(r, 2+r.Intn(12))
+		case 3:
+			b = bipartite.FromHypergraph(gen.AlphaAcyclic(r, 2+r.Intn(4), 3, 2)).B
+		default:
+			first := gen.RandomConnectedBipartite(r, 2+r.Intn(3), 2+r.Intn(3), 0.4)
+			base = first.N()
+			b = gen.DisjointUnion(first, gen.RandomConnectedBipartite(r, 2+r.Intn(3), 2+r.Intn(3), 0.4))
 		}
-		terms := pickTerminals(r, g.N(), k)
-		tree, err := steiner.ExactFrozenShared(ctx, g.Freeze(), terms, nil)
+		g := b.G()
+		comp := g.ComponentContaining([]int{base + r.Intn(g.N()-base)})
+		k := min(1+r.Intn(6), len(comp))
+		terms := make([]int, k)
+		for i, j := range r.Perm(len(comp))[:k] {
+			terms[i] = comp[j]
+		}
+		fg := g.Freeze()
+		tree, err := steiner.ExactFrozenShared(ctx, fg, terms, nil)
 		if err != nil {
-			t.Fatalf("Exact failed on %v: %v", g, err)
+			t.Fatalf("Exact failed on %v terms %v: %v", g, terms, err)
 		}
 		if err := tree.Validate(g, terms); err != nil {
-			t.Fatalf("invalid exact tree on %v: %v", g, err)
+			t.Fatalf("invalid exact tree on %v terms %v: %v", g, terms, err)
 		}
-		want := reference.SteinerMinimumNodes(g, terms)
-		if tree.Nodes.Len() != want {
+		if want := reference.SteinerMinimumNodes(g, terms); tree.Nodes.Len() != want {
 			t.Fatalf("Exact=%d brute=%d on %v terms %v", tree.Nodes.Len(), want, g, terms)
 		}
+		sh := steiner.NewShared(fg)
+		if err := sh.Precompute(ctx, terms, true); err != nil {
+			t.Fatal(err)
+		}
+		shared, err := steiner.ExactFrozenShared(ctx, fg, terms, sh)
+		assertSameTree(t, fmt.Sprintf("Exact with Shared on %v terms %v", g, terms), tree, shared, nil, err)
 	}
 }
 
