@@ -13,9 +13,14 @@ import (
 // edge list in order, or error text — of every case of the solver sweeps
 // in frozen_test.go and boundary_test.go. The answers were recorded from
 // the mutable-graph solvers, which the frozen ones reproduced bit for bit,
-// so they pin tie-breaking as well as optimality. The one exception is
-// Algorithm 1 with a lone V1 terminal, re-recorded as the terminal alone
-// once the elimination stopped removing Adj*(v) together with v.
+// so they pin tie-breaking as well as optimality. There are two
+// exceptions. Algorithm 1 with a lone V1 terminal was re-recorded as the
+// terminal alone once the elimination stopped removing Adj*(v) together
+// with v. One Exact line, random t11 [2 14 6], was re-recorded when the
+// Dreyfus–Wagner grow step became a label-ordered BFS, which breaks ties
+// between equally short paths by BFS predecessor rather than by the
+// lowest-id path source: its tree keeps the old node count, 7, which is
+// reference.SteinerMinimumNodes, and no other line moved.
 // Each sweep is one section of the file: lines whose first field is the
 // sweep's name, in the order the sweep produces them.
 
