@@ -127,10 +127,11 @@ func Classify(b *bipartite.Graph) Class { return ClassifyFrozen(b.Freeze()) }
 func ClassifyFrozen(fb *bipartite.Frozen) Class {
 	h1 := fb.HypergraphV1().H
 	h2 := fb.HypergraphV2().H
+	beta := h1.BetaAcyclic()
 	return Class{
 		Chordal41:   fb.G().IsForest(),
-		Chordal62:   h1.GammaAcyclic(),
-		Chordal61:   h1.BetaAcyclic(),
+		Chordal62:   beta && h1.FindGammaTriangle() == nil,
+		Chordal61:   beta,
 		V1Chordal:   IsChordal(h1.PrimalGraph().Freeze()),
 		V1Conformal: h1.Conformal(),
 		V2Chordal:   IsChordal(h2.PrimalGraph().Freeze()),

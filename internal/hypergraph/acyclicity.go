@@ -40,12 +40,14 @@ func (d Degree) String() string {
 
 // Classify returns the strongest acyclicity degree h satisfies.
 func (h *Hypergraph) Classify() Degree {
-	switch {
-	case h.BergeAcyclic():
+	if h.BergeAcyclic() {
 		return DegreeBerge
-	case h.GammaAcyclic():
+	}
+	beta := h.BetaAcyclic()
+	switch {
+	case beta && h.FindGammaTriangle() == nil:
 		return DegreeGamma
-	case h.BetaAcyclic():
+	case beta:
 		return DegreeBeta
 	case h.AlphaAcyclic():
 		return DegreeAlpha
