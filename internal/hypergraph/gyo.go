@@ -193,45 +193,6 @@ func (h *Hypergraph) VerifyJoinTree(parent []int) bool {
 	return true
 }
 
-// RunningIntersectionOrder returns an ordering e_1, …, e_q of the edge
-// indices of an α-acyclic h satisfying the running intersection property:
-// for every i ≥ 2 there is j < i with e_i ∩ (e_1 ∪ … ∪ e_{i−1}) ⊆ e_j.
-// It returns ok=false when h is α-cyclic.
-//
-// The order is a parent-before-child linearization of a join tree; the
-// reverse of this order is exactly the elimination ordering W of Lemma 1
-// used by Algorithm 1.
-func (h *Hypergraph) RunningIntersectionOrder() (order []int, ok bool) {
-	parent, ok := h.JoinTree()
-	if !ok {
-		return nil, false
-	}
-	m := h.M()
-	children := make([][]int, m)
-	var roots []int
-	for i := 0; i < m; i++ {
-		if parent[i] == -1 {
-			roots = append(roots, i)
-		} else {
-			children[parent[i]] = append(children[parent[i]], i)
-		}
-	}
-	order = make([]int, 0, m)
-	var stack []int
-	for r := len(roots) - 1; r >= 0; r-- {
-		stack = append(stack, roots[r])
-	}
-	for len(stack) > 0 {
-		e := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		order = append(order, e)
-		for k := len(children[e]) - 1; k >= 0; k-- {
-			stack = append(stack, children[e][k])
-		}
-	}
-	return order, true
-}
-
 // VerifyRunningIntersection checks the running intersection property of an
 // edge ordering, returning the position of the first violation or -1.
 func (h *Hypergraph) VerifyRunningIntersection(order []int) int {

@@ -352,13 +352,6 @@ func TestJoinTreeAndRIP(t *testing.T) {
 		if !h.VerifyJoinTree(parent) {
 			t.Fatalf("join tree property violated for %v: %v", h, parent)
 		}
-		order, ok := h.RunningIntersectionOrder()
-		if !ok || len(order) != h.M() {
-			t.Fatalf("RIP order missing for %v", h)
-		}
-		if bad := h.VerifyRunningIntersection(order); bad != -1 {
-			t.Fatalf("RIP violated at %d for %v (order %v)", bad, h, order)
-		}
 	}
 }
 

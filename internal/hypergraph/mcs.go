@@ -37,11 +37,3 @@ func (h *Hypergraph) GreedyEdgeOrder() []int {
 	}
 	return order
 }
-
-// AlphaAcyclicMCS decides α-acyclicity the Tarjan–Yannakakis way: greedy
-// maximum-cardinality edge order + running-intersection verification. It
-// must agree with GYO everywhere (tested); both are exposed because the
-// MCS route also yields the Lemma 1 ordering as a by-product.
-func (h *Hypergraph) AlphaAcyclicMCS() bool {
-	return h.VerifyRunningIntersection(h.GreedyEdgeOrder()) == -1
-}

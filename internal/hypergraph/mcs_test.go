@@ -28,7 +28,7 @@ func TestQuickMCSAgreesWithGYO(t *testing.T) {
 	err := quick.Check(func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		h := randomH(r, 2+r.Intn(6), 1+r.Intn(6))
-		return h.AlphaAcyclicMCS() == h.AlphaAcyclic()
+		return (h.VerifyRunningIntersection(h.GreedyEdgeOrder()) == -1) == h.AlphaAcyclic()
 	}, cfg)
 	if err != nil {
 		t.Error(err)
@@ -52,9 +52,6 @@ func TestQuickGreedyOrderSatisfiesRIPOnAcyclic(t *testing.T) {
 
 func TestGreedyOrderOnCyclicDetectsViolation(t *testing.T) {
 	h := triangleH()
-	if h.AlphaAcyclicMCS() {
-		t.Error("triangle should fail the MCS acyclicity test")
-	}
 	if bad := h.VerifyRunningIntersection(h.GreedyEdgeOrder()); bad == -1 {
 		t.Error("expected a RIP violation on the triangle")
 	}
@@ -69,7 +66,7 @@ func TestGreedyOrderDisconnectedComponents(t *testing.T) {
 	if len(order) != 3 {
 		t.Fatalf("order = %v", order)
 	}
-	if !h.AlphaAcyclicMCS() {
-		t.Error("disconnected forest should pass")
+	if bad := h.VerifyRunningIntersection(order); bad != -1 {
+		t.Errorf("disconnected forest should pass, RIP violated at %d", bad)
 	}
 }

@@ -101,18 +101,3 @@ func TestQuickDualPreservesSize(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestQuickRIPOrderAlwaysValid(t *testing.T) {
-	err := quick.Check(func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		h := randomH(r, 2+r.Intn(6), 1+r.Intn(5))
-		order, ok := h.RunningIntersectionOrder()
-		if !ok {
-			return !h.AlphaAcyclic()
-		}
-		return h.AlphaAcyclic() && h.VerifyRunningIntersection(order) == -1
-	}, &quick.Config{MaxCount: 400})
-	if err != nil {
-		t.Error(err)
-	}
-}
