@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,8 +22,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/httpd"
-	"repro/internal/metrics"
-	"repro/internal/trace"
 )
 
 // loadConfig carries the -load flags into runLoad.
@@ -34,9 +33,6 @@ type loadConfig struct {
 	seed        int64         // workload RNG seed
 	trace       string        // replay queries from this trace file
 	traceRecord string        // record the warm-phase query stream here
-	benchOut    string        // write the BENCH_*.json report here ("" = stdout summary only)
-	benchTag    string        // tag field of the report (required with benchOut)
-	benchMerge  string        // fold this go-test benchmark JSON into the report
 }
 
 // poolQuery is one prepared query of the workload: its scheme, terminals
@@ -60,74 +56,17 @@ func makePoolQuery(scheme string, terms []int) poolQuery {
 	}
 }
 
-// phaseReport is the measured outcome of one load phase on the wire
-// schema (BENCH_*.json, schema_version 2). Latencies are client-observed,
-// milliseconds.
+// phaseReport is the measured outcome of one load phase. Latencies are
+// client-observed, milliseconds.
 type phaseReport struct {
-	Requests     int     `json:"requests"`
-	Errors       int     `json:"errors"`
-	Seconds      float64 `json:"seconds"`
-	QPS          float64 `json:"qps"`
-	P50ms        float64 `json:"p50_ms"`
-	P95ms        float64 `json:"p95_ms"`
-	P99ms        float64 `json:"p99_ms"`
-	CacheHitRate float64 `json:"cache_hit_rate"`
-	// AllocsPerRequest is the whole-process allocation count per request
-	// over the phase — server and client side together, so it is only
-	// measured (and only meaningful) in self mode.
-	AllocsPerRequest float64 `json:"allocs_per_request,omitempty"`
-	// TracedRequests counts the requests this phase marked with a sampled
-	// traceparent and found back on the target's /v1/traces ring; Phases
-	// aggregates their server-side span durations by phase name. Both are
-	// absent against servers that do not trace.
-	TracedRequests int                       `json:"traced_requests,omitempty"`
-	Phases         map[string]phaseQuantiles `json:"phases,omitempty"`
-}
-
-// phaseQuantiles summarizes one server-side phase (span name) across the
-// phase's traced requests, milliseconds.
-type phaseQuantiles struct {
-	Count int     `json:"count"`
-	P50ms float64 `json:"p50_ms"`
-	P95ms float64 `json:"p95_ms"`
-	P99ms float64 `json:"p99_ms"`
-}
-
-// servingReport is the "serving" block of the report: the cold pass
-// (every pool query once, all misses) and the warm pass (zipfian repeats
-// or a trace replay).
-type servingReport struct {
-	Target      string      `json:"target"` // "self" or the URL
-	Schemes     []string    `json:"schemes"`
-	PoolQueries int         `json:"pool_queries"`
-	Concurrency int         `json:"concurrency"`
-	ZipfS       float64     `json:"zipf_s"`
-	Seed        int64       `json:"seed"`
-	Trace       string      `json:"trace,omitempty"`
-	Cold        phaseReport `json:"cold"`
-	Warm        phaseReport `json:"warm"`
-}
-
-// benchFile is the full BENCH_*.json schema (version 2): identification
-// header, the host's core budget (so sharding numbers from a 1-core
-// runner are never mistaken for contended measurements), the go-test
-// benchmark rows merged via -bench-merge, and the serving measurements.
-type benchFile struct {
-	SchemaVersion int    `json:"schema_version"`
-	Tag           string `json:"tag"`
-	Benchtime     string `json:"benchtime,omitempty"`
-	Cores         struct {
-		Gomaxprocs int `json:"gomaxprocs"`
-		Numcpu     int `json:"numcpu"`
-	} `json:"cores"`
-	Benchmarks json.RawMessage `json:"benchmarks,omitempty"`
-	Serving    *servingReport  `json:"serving"`
+	requests, errors  int
+	qps, p50ms, p99ms float64
+	cacheHitRate      float64
 }
 
 // runLoad drives the load harness: build (or discover) the scheme mix and
 // its query pool, run the cold pass then the warm pass against the target
-// server, and report cold/warm QPS and latency quantiles — optionally as
-// a schema-versioned BENCH_*.json file.
+// server, and report cold/warm QPS and latency quantiles.
 func runLoad(ctx context.Context, cfg loadConfig, stdout, stderr io.Writer, schemeOpts []core.Option) error {
 	base := cfg.target
 	if cfg.target == "self" {
@@ -142,13 +81,8 @@ func runLoad(ctx context.Context, cfg loadConfig, stdout, stderr io.Writer, sche
 		srvCtx, stopSrv := context.WithCancel(ctx)
 		srvDone := make(chan error, 1)
 		// Unlimited in-flight: the harness measures solver and cache
-		// throughput, and shed 429s would poison the latency sample. The
-		// tracer never head-samples on its own (SampleProb 0) — only the
-		// requests the driver marks with a sampled traceparent are
-		// retained, over a ring deep enough to survive a fast warm phase.
-		tracer := trace.New(trace.Config{RingSize: 4096, Seed: uint64(cfg.seed) + 1})
-		h := httpd.New(reg, httpd.WithMaxInFlight(0), httpd.WithSchemeOptions(schemeOpts...),
-			httpd.WithTracer(tracer))
+		// throughput, and shed 429s would poison the latency sample.
+		h := httpd.New(reg, httpd.WithMaxInFlight(0), httpd.WithSchemeOptions(schemeOpts...))
 		go func() { srvDone <- httpd.Serve(srvCtx, ln, h, 0) }()
 		defer func() {
 			stopSrv()
@@ -178,11 +112,7 @@ func runLoad(ctx context.Context, cfg loadConfig, stdout, stderr io.Writer, sche
 		return fmt.Errorf("-load: empty query pool")
 	}
 
-	d := &loadDriver{
-		base:   base,
-		client: &http.Client{Timeout: 30 * time.Second},
-		seed:   cfg.seed,
-	}
+	d := &loadDriver{base: base, client: &http.Client{Timeout: 30 * time.Second}}
 
 	// Cold pass: every pool query exactly once, shuffled across schemes,
 	// so each one is a compulsory cache miss (on a fresh server).
@@ -190,14 +120,9 @@ func runLoad(ctx context.Context, cfg loadConfig, stdout, stderr io.Writer, sche
 	rand.New(rand.NewSource(cfg.seed^0x5eed)).Shuffle(len(shuffled), func(i, j int) {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 	})
-	cold, err := d.runPhase(ctx, cfg, "cold", func(issue func(poolQuery)) {
-		var next atomic.Int64
-		runWorkers(cfg.concurrency, func(int) {
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(shuffled) || ctx.Err() != nil {
-					return
-				}
+	cold, err := d.runPhase(ctx, "cold", func(issue func(poolQuery)) {
+		forEach(len(shuffled), cfg.concurrency, func(i int) {
+			if ctx.Err() == nil {
 				issue(shuffled[i])
 			}
 		})
@@ -212,15 +137,10 @@ func runLoad(ctx context.Context, cfg loadConfig, stdout, stderr io.Writer, sche
 	if cfg.traceRecord != "" {
 		record = &traceRecorder{}
 	}
-	warm, err := d.runPhase(ctx, cfg, "warm", func(issue func(poolQuery)) {
+	warm, err := d.runPhase(ctx, "warm", func(issue func(poolQuery)) {
 		if cfg.trace != "" {
-			var next atomic.Int64
-			runWorkers(cfg.concurrency, func(int) {
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(pool) || ctx.Err() != nil {
-						return
-					}
+			forEach(len(pool), cfg.concurrency, func(i int) {
+				if ctx.Err() == nil {
 					issue(pool[i])
 				}
 			})
@@ -244,25 +164,11 @@ func runLoad(ctx context.Context, cfg loadConfig, stdout, stderr io.Writer, sche
 		return err
 	}
 
-	report := &servingReport{
-		Target:      cfg.target,
-		Schemes:     schemeNames(schemes),
-		PoolQueries: len(pool),
-		Concurrency: cfg.concurrency,
-		ZipfS:       cfg.zipfS,
-		Seed:        cfg.seed,
-		Trace:       cfg.trace,
-		Cold:        cold,
-		Warm:        warm,
-	}
 	fmt.Fprintf(stdout, "load: cold %d requests (%d errors) %.0f qps, p50 %.2fms p99 %.2fms\n",
-		cold.Requests, cold.Errors, cold.QPS, cold.P50ms, cold.P99ms)
+		cold.requests, cold.errors, cold.qps, cold.p50ms, cold.p99ms)
 	fmt.Fprintf(stdout, "load: warm %d requests (%d errors) %.0f qps, p50 %.2fms p99 %.2fms, hit rate %.2f\n",
-		warm.Requests, warm.Errors, warm.QPS, warm.P50ms, warm.P99ms, warm.CacheHitRate)
-	if cfg.benchOut == "" {
-		return nil
-	}
-	return writeBenchFile(cfg, report, stdout)
+		warm.requests, warm.errors, warm.qps, warm.p50ms, warm.p99ms, warm.cacheHitRate)
+	return nil
 }
 
 // loadSchemeMix builds the self-mode multi-tenant catalog: one scheme per
@@ -288,14 +194,6 @@ func loadSchemeMix(seed int64, schemeOpts []core.Option) (*core.Registry, error)
 type schemeSize struct {
 	name  string
 	nodes int
-}
-
-func schemeNames(schemes []schemeSize) []string {
-	out := make([]string, len(schemes))
-	for i, s := range schemes {
-		out[i] = s.name
-	}
-	return out
 }
 
 // fetchSchemeSizes lists the target's schemes via GET /v1/schemes.
@@ -375,180 +273,68 @@ func distinctInts(r *rand.Rand, n, k int) []int {
 // loadDriver issues pool queries against one target and snapshots its
 // cache counters around each phase.
 type loadDriver struct {
-	base    string
-	client  *http.Client
-	seed    int64
-	tracker *traceTracker // current phase's traceparent marking; nil between phases
+	base   string
+	client *http.Client
 }
 
-// traceMarkEvery is the driver's traceparent marking stride: one request
-// in this many carries a sampled traceparent, forcing the server to
-// retain its trace. Sparse enough not to perturb the measurement, dense
-// enough that even the cold pass yields phase samples.
-const traceMarkEvery = 16
-
-// traceTracker hands out deterministic sampled traceparent headers for
-// a fraction of a phase's requests and remembers the trace ids issued,
-// so the phase can later recognize its own traces on /v1/traces. A nil
-// tracker marks nothing.
-type traceTracker struct {
-	seed uint64
-	n    atomic.Uint64
-	mu   sync.Mutex
-	ids  map[string]bool
-}
-
-func newTraceTracker(seed int64, phase string) *traceTracker {
-	h := uint64(seed)*0x9e3779b97f4a7c15 + 0x517cc1b727220a95
-	for _, c := range phase {
-		h = (h ^ uint64(c)) * 0x9e3779b97f4a7c15
-	}
-	return &traceTracker{seed: h | 1, ids: map[string]bool{}}
-}
-
-// mark returns the traceparent header for this request, or "" for the
-// (15 of 16) requests that travel unmarked.
-func (t *traceTracker) mark() string {
-	if t == nil {
-		return ""
-	}
-	n := t.n.Add(1)
-	if n%traceMarkEvery != 0 {
-		return ""
-	}
-	// seed|1 keeps the id's high half nonzero, so the id as a whole can
-	// never be the all-zero id the W3C spec rejects.
-	tid := fmt.Sprintf("%016x%016x", t.seed, n)
-	t.mu.Lock()
-	t.ids[tid] = true
-	t.mu.Unlock()
-	return fmt.Sprintf("00-%s-%016x-01", tid, n)
-}
-
-// collect reports whether tid is one of this tracker's marked requests.
-func (t *traceTracker) has(tid string) bool {
-	if t == nil {
-		return false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.ids[tid]
-}
-
-// runPhase measures one phase: wall time, client-side latency histogram,
-// error count, whole-process allocations (self mode measures itself) and
-// the target's cache-counter movement.
-func (d *loadDriver) runPhase(ctx context.Context, cfg loadConfig, name string, body func(issue func(poolQuery))) (phaseReport, error) {
+// runPhase measures one phase: wall time, each request's client-observed
+// latency, the error count and the target's cache-counter movement.
+func (d *loadDriver) runPhase(ctx context.Context, name string, body func(issue func(poolQuery))) (phaseReport, error) {
 	before, err := d.cacheCounters(ctx)
 	if err != nil {
 		return phaseReport{}, fmt.Errorf("-load: stats before %s phase: %w", name, err)
 	}
-	d.tracker = newTraceTracker(cfg.seed, name)
-	hist := metrics.NewHistogram(metrics.DefLatencyBounds())
-	var requests, errors atomic.Int64
-	var m0, m1 runtime.MemStats
-	if cfg.target == "self" {
-		runtime.ReadMemStats(&m0)
-	}
+	var mu sync.Mutex
+	var latencies []time.Duration
+	failed := 0
 	start := time.Now()
 	body(func(q poolQuery) {
 		t0 := time.Now()
 		ok := d.issue(ctx, q)
-		hist.ObserveDuration(time.Since(t0))
-		requests.Add(1)
+		dt := time.Since(t0)
+		mu.Lock()
+		latencies = append(latencies, dt)
 		if !ok {
-			errors.Add(1)
+			failed++
 		}
+		mu.Unlock()
 	})
 	elapsed := time.Since(start)
-	if cfg.target == "self" {
-		runtime.ReadMemStats(&m1)
-	}
 	after, err := d.cacheCounters(ctx)
 	if err != nil {
 		return phaseReport{}, fmt.Errorf("-load: stats after %s phase: %w", name, err)
 	}
 
-	n := int(requests.Load())
+	n := len(latencies)
 	if n == 0 {
 		return phaseReport{}, fmt.Errorf("-load: %s phase issued no requests", name)
 	}
-	if e := int(errors.Load()); e == n {
-		return phaseReport{}, fmt.Errorf("-load: every %s-phase request failed (%d of %d)", name, e, n)
+	if failed == n {
+		return phaseReport{}, fmt.Errorf("-load: every %s-phase request failed (%d of %d)", name, failed, n)
 	}
 	rep := phaseReport{
-		Requests: n,
-		Errors:   int(errors.Load()),
-		Seconds:  elapsed.Seconds(),
-		QPS:      float64(n) / elapsed.Seconds(),
-		P50ms:    hist.Quantile(0.50) * 1e3,
-		P95ms:    hist.Quantile(0.95) * 1e3,
-		P99ms:    hist.Quantile(0.99) * 1e3,
+		requests: n,
+		errors:   failed,
+		qps:      float64(n) / elapsed.Seconds(),
+		p50ms:    quantileMS(latencies, 0.50),
+		p99ms:    quantileMS(latencies, 0.99),
 	}
 	if lookups := after.lookups() - before.lookups(); lookups > 0 {
-		rep.CacheHitRate = float64(after.hits-before.hits) / float64(lookups)
+		rep.cacheHitRate = float64(after.hits-before.hits) / float64(lookups)
 	}
-	if cfg.target == "self" {
-		rep.AllocsPerRequest = float64(m1.Mallocs-m0.Mallocs) / float64(n)
-	}
-	rep.Phases, rep.TracedRequests = d.phaseSpans(ctx, d.tracker)
-	d.tracker = nil
 	return rep, nil
 }
 
-// phaseSpans fetches the target's recent traces and aggregates the span
-// durations of this phase's marked requests into per-phase-name latency
-// quantiles. Best-effort by design: a target without tracing (or whose
-// ring already evicted our traces) just yields no phase breakdown.
-func (d *loadDriver) phaseSpans(ctx context.Context, tk *traceTracker) (map[string]phaseQuantiles, int) {
-	if tk == nil {
-		return nil, 0
+// quantileMS returns the q-quantile of samples in milliseconds by the
+// nearest-rank rule on the sorted samples, with no interpolation. It sorts
+// samples in place.
+func quantileMS(samples []time.Duration, q float64) float64 {
+	if len(samples) == 0 {
+		return 0
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, d.base+"/v1/traces", nil)
-	if err != nil {
-		return nil, 0
-	}
-	resp, err := d.client.Do(req)
-	if err != nil {
-		return nil, 0
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, 0
-	}
-	var tr httpd.TracesResponse
-	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
-		return nil, 0
-	}
-	hists := map[string]*metrics.Histogram{}
-	found := 0
-	for _, rec := range tr.Traces {
-		if !tk.has(rec.TraceID) {
-			continue
-		}
-		found++
-		for _, sp := range rec.Spans {
-			h := hists[sp.Name]
-			if h == nil {
-				h = metrics.NewHistogram(metrics.DefLatencyBounds())
-				hists[sp.Name] = h
-			}
-			h.Observe(sp.DurationMS / 1e3)
-		}
-	}
-	if len(hists) == 0 {
-		return nil, found
-	}
-	out := make(map[string]phaseQuantiles, len(hists))
-	for name, h := range hists {
-		out[name] = phaseQuantiles{
-			Count: int(h.Count()),
-			P50ms: h.Quantile(0.50) * 1e3,
-			P95ms: h.Quantile(0.95) * 1e3,
-			P99ms: h.Quantile(0.99) * 1e3,
-		}
-	}
-	return out, found
+	slices.Sort(samples)
+	rank := int(q*float64(len(samples))+0.999999999) - 1
+	return float64(samples[max(0, min(rank, len(samples)-1))]) / float64(time.Millisecond)
 }
 
 // issue POSTs one query and reports whether it answered 200.
@@ -559,9 +345,6 @@ func (d *loadDriver) issue(ctx context.Context, q poolQuery) bool {
 		return false
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if tp := d.tracker.mark(); tp != "" {
-		req.Header.Set("traceparent", tp)
-	}
 	resp, err := d.client.Do(req)
 	if err != nil {
 		return false
@@ -615,6 +398,20 @@ func runWorkers(n int, fn func(worker int)) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// forEach calls fn(i) for every i in [0, n) on at most workers goroutines
+// (GOMAXPROCS when workers <= 0) and returns once every call has.
+func forEach(n, workers int, fn func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var next atomic.Int64
+	runWorkers(min(workers, n), func(int) {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fn(i)
+		}
+	})
 }
 
 // traceRecorder accumulates the warm-phase query stream. A nil recorder
@@ -679,48 +476,4 @@ func readTrace(path string) ([]poolQuery, error) {
 		pool = append(pool, makePoolQuery(strings.TrimSpace(scheme), terms))
 	}
 	return pool, nil
-}
-
-// writeBenchFile assembles the schema-versioned report, folding in the
-// go-test benchmark rows when -bench-merge names the distilled JSON the
-// trajectory script produced. Refuses to clobber an existing file: each
-// PR's trajectory point is append-only history (FORCE at the script
-// level re-generates deliberately).
-func writeBenchFile(cfg loadConfig, report *servingReport, stdout io.Writer) error {
-	out := benchFile{SchemaVersion: 2, Tag: cfg.benchTag, Serving: report}
-	out.Cores.Gomaxprocs = runtime.GOMAXPROCS(0)
-	out.Cores.Numcpu = runtime.NumCPU()
-	if cfg.benchMerge != "" {
-		data, err := os.ReadFile(cfg.benchMerge)
-		if err != nil {
-			return fmt.Errorf("-bench-merge: %w", err)
-		}
-		var merged struct {
-			Benchtime  string          `json:"benchtime"`
-			Benchmarks json.RawMessage `json:"benchmarks"`
-		}
-		if err := json.Unmarshal(data, &merged); err != nil {
-			return fmt.Errorf("-bench-merge: parsing %s: %w", cfg.benchMerge, err)
-		}
-		out.Benchtime = merged.Benchtime
-		out.Benchmarks = merged.Benchmarks
-	}
-	if _, err := os.Stat(cfg.benchOut); err == nil {
-		return fmt.Errorf("-bench-out: %s already exists (trajectory files are append-only; pick a new tag or remove it deliberately)", cfg.benchOut)
-	}
-	f, err := os.Create(cfg.benchOut)
-	if err != nil {
-		return fmt.Errorf("-bench-out: %w", err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		f.Close()
-		return fmt.Errorf("-bench-out: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("-bench-out: %w", err)
-	}
-	fmt.Fprintf(stdout, "load: wrote %s (tag %s, schema v2)\n", cfg.benchOut, cfg.benchTag)
-	return nil
 }

@@ -2,75 +2,64 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestRunLoadSelf runs a very short self-mode load and checks the printed
-// report plus the full BENCH_*.json schema: version, tag, cores, merged
-// benchmarks and both serving phases.
+// cold and warm summaries.
 func TestRunLoadSelf(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "BENCH_t.json")
-	merge := filepath.Join(dir, "micro.json")
-	if err := os.WriteFile(merge, []byte(`{"benchtime":"0.1s","benchmarks":[{"name":"BenchmarkX","ns_per_op":42}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
 	var stdout, stderr bytes.Buffer
-	args := []string{
-		"-load", "self", "-load-duration", "200ms", "-load-concurrency", "2",
-		"-seed", "7", "-bench-out", out, "-bench-tag", "t", "-bench-merge", merge,
-	}
+	args := []string{"-load", "self", "-load-duration", "200ms", "-load-concurrency", "2", "-seed", "7"}
 	if err := run(args, strings.NewReader(""), &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v\nstderr: %s", err, stderr.String())
 	}
-	for _, want := range []string{"load: cold", "load: warm", "(0 errors)", "schema v2"} {
-		if !strings.Contains(stdout.String(), want) {
-			t.Errorf("stdout missing %q:\n%s", want, stdout.String())
+	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("stdout holds %d lines, want the cold and warm summaries:\n%s", len(lines), stdout.String())
+	}
+	var hitRate float64
+	for i, phase := range []string{"cold", "warm"} {
+		var requests, errs int
+		var qps, p50, p99 float64
+		format := "load: " + phase + " %d requests (%d errors) %f qps, p50 %fms p99 %fms"
+		fields := []any{&requests, &errs, &qps, &p50, &p99}
+		if phase == "warm" {
+			format += ", hit rate %f"
+			fields = append(fields, &hitRate)
+		}
+		if _, err := fmt.Sscanf(lines[i], format, fields...); err != nil {
+			t.Fatalf("%s summary %q: %v", phase, lines[i], err)
+		}
+		if requests == 0 || errs != 0 || qps <= 0 || p50 <= 0 || p99 < p50 {
+			t.Errorf("%s summary implausible: %q", phase, lines[i])
 		}
 	}
+	if hitRate <= 0 {
+		t.Errorf("warm hit rate = %g, want > 0 (zipf reuse)", hitRate)
+	}
+}
 
-	raw, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
+// TestQuantileMS: quantiles are nearest-rank values of the measured
+// samples, not interpolation inside a histogram bucket.
+func TestQuantileMS(t *testing.T) {
+	samples := make([]time.Duration, 0, 100)
+	samples = append(samples, 150*time.Microsecond)
+	for i := 0; i < 99; i++ {
+		samples = append(samples, 10*time.Microsecond)
 	}
-	var f benchFile
-	if err := json.Unmarshal(raw, &f); err != nil {
-		t.Fatalf("bench file does not parse: %v", err)
-	}
-	if f.SchemaVersion != 2 || f.Tag != "t" {
-		t.Fatalf("header = schema %d tag %q, want 2/t", f.SchemaVersion, f.Tag)
-	}
-	if f.Cores.Gomaxprocs < 1 || f.Cores.Numcpu < 1 {
-		t.Fatalf("cores not recorded: %+v", f.Cores)
-	}
-	if !bytes.Contains(f.Benchmarks, []byte("BenchmarkX")) {
-		t.Fatalf("merged benchmarks missing: %s", f.Benchmarks)
-	}
-	if f.Serving == nil || f.Serving.Target != "self" {
-		t.Fatalf("serving section missing or wrong target: %+v", f.Serving)
-	}
-	for phase, r := range map[string]phaseReport{"cold": f.Serving.Cold, "warm": f.Serving.Warm} {
-		if r.Requests == 0 || r.Errors != 0 || r.QPS <= 0 {
-			t.Errorf("%s phase implausible: %+v", phase, r)
-		}
-		if r.P50ms <= 0 || r.P99ms < r.P50ms {
-			t.Errorf("%s quantiles implausible: p50 %.3f p99 %.3f", phase, r.P50ms, r.P99ms)
+	for _, c := range []struct{ q, want float64 }{{0.50, 0.01}, {0.99, 0.01}, {1, 0.15}, {0, 0.01}} {
+		if got := quantileMS(samples, c.q); got != c.want {
+			t.Errorf("quantileMS(q=%g) = %g ms, want %g", c.q, got, c.want)
 		}
 	}
-	if f.Serving.Warm.CacheHitRate <= 0 {
-		t.Errorf("warm hit rate = %g, want > 0 (zipf reuse)", f.Serving.Warm.CacheHitRate)
-	}
-
-	// The trajectory is append-only: a second run must refuse to clobber.
-	if err := run(args, strings.NewReader(""), &stdout, &stderr); err == nil ||
-		!strings.Contains(err.Error(), "already exists") {
-		t.Fatalf("overwrite err = %v, want refusal", err)
+	if got := quantileMS(nil, 0.5); got != 0 {
+		t.Errorf("quantileMS of no samples = %g, want 0", got)
 	}
 }
 
@@ -114,16 +103,14 @@ func TestRunLoadTraceRoundTrip(t *testing.T) {
 func TestLoadFlagConflicts(t *testing.T) {
 	var out, errOut bytes.Buffer
 	for _, args := range [][]string{
-		{"-load", "self", "-serve", ":0"},                              // two run modes
-		{"-load", "self", "-batch", "q.txt"},                           // load is not a batch
-		{"-load", "ftp://x"},                                           // target must be self or http(s)
-		{"-load", "self", "-load-duration", "0s"},                      // duration must be positive
-		{"-load", "self", "-load-concurrency", "0"},                    // at least one worker
-		{"-load", "self", "-zipf-s", "1.0"},                            // zipf needs s > 1
-		{"-load", "self", "-bench-out", "x.json"},                      // bench-out needs a tag
-		{"-load", "self", "-trace", "a", "-trace-record", "b"},         // replay xor record
-		{"-load-duration", "1s"},                                       // load flags need -load
-		{"-load", "self", "-bench-merge", "x.json", "-bench-tag", "t"}, // merge needs bench-out
+		{"-load", "self", "-serve", ":0"},                      // two run modes
+		{"-load", "self", "-batch", "q.txt"},                   // load is not a batch
+		{"-load", "ftp://x"},                                   // target must be self or http(s)
+		{"-load", "self", "-load-duration", "0s"},              // duration must be positive
+		{"-load", "self", "-load-concurrency", "0"},            // at least one worker
+		{"-load", "self", "-zipf-s", "1.0"},                    // zipf needs s > 1
+		{"-load", "self", "-trace", "a", "-trace-record", "b"}, // replay xor record
+		{"-load-duration", "1s"},                               // load flags need -load
 	} {
 		if err := run(args, strings.NewReader(""), &out, &errOut); err == nil {
 			t.Errorf("args %v accepted, want a flag-conflict error", args)

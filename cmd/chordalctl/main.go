@@ -32,11 +32,10 @@
 // adversarial grid), "-load http://host:port" drives an external server.
 // The harness runs a cold pass (every pool query once — all compulsory
 // misses) then a warm pass (zipfian popularity over the pool for
-// -load-duration, or a -trace replay), reports cold/warm QPS with
-// client-observed p50/p95/p99, and with -bench-out/-bench-tag writes the
-// schema-versioned BENCH_*.json trajectory file (merging the go-test
-// benchmark rows the trajectory script distilled via -bench-merge).
-// -trace-record captures the warm-phase stream for later replay.
+// -load-duration, or a -trace replay) and prints cold/warm QPS with the
+// p50 and p99 of the client-observed request latencies. -trace-record
+// captures the warm-phase stream for later replay. The repository's
+// benchmark is perfbench, not this harness.
 //
 // Usage:
 //
@@ -45,7 +44,10 @@
 //	chordalctl -batch queries.txt [-workers n] [-timeout d] [-cache-shards n] [-cpuprofile f] [-memprofile f] [file]
 //	chordalctl -registry name=file[,name=file...] [-batch queries.txt] [-workers n] [-timeout d] [-cache-shards n]
 //	chordalctl -serve addr [-registry name=file,...] [-max-inflight n] [-max-terminals n] [-cache-shards n] [-trace-sample p] [-slow-query-ms n] [-log-format json|text] [-cpuprofile f] [-memprofile f] [file]
-//	chordalctl -load self|url [-load-duration d] [-load-concurrency n] [-zipf-s s] [-seed n] [-trace f | -trace-record f] [-bench-out f -bench-tag t [-bench-merge f]] [-cache-shards n]
+//	chordalctl -load self|url [-load-duration d] [-load-concurrency n] [-zipf-s s] [-seed n] [-trace f | -trace-record f] [-cache-shards n]
+//
+// A flag takes one dash or two, and the scheme file may come before,
+// between or after the flags; -h lists every flag.
 //
 // -cpuprofile and -memprofile write pprof profiles of a serving run:
 // the CPU profile spans scheme compilation through the last answer (for
@@ -97,13 +99,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -140,247 +142,80 @@ func (e *batchError) Error() string {
 
 // run implements the tool; factored out of main for tests.
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (retErr error) {
-	hyper, jsonOut, verbose := false, false, false
-	batch, registry, serve, compile, warm := "", "", "", "", ""
-	cpuprofile, memprofile := "", ""
-	workers := 0
-	maxInFlight, maxInFlightSet := httpd.DefaultMaxInFlight, false
-	maxTerminals := 0
-	cacheShards := 0
-	traceSample, slowQueryMS := 0.0, int64(500)
-	logFormat := "text"
-	serveObsFlagSet := false // any -trace-sample/-slow-query-ms/-log-format seen
-	load := loadConfig{duration: 2 * time.Second, concurrency: 8, zipfS: 1.2, seed: 1}
-	loadFlagSet := false // any -load-*/-zipf-s/-seed/-trace*/-bench-* flag seen
+	var hyper, jsonOut, verbose bool
+	var batch, registry, serve, compile, warm, cpuprofile, memprofile, logFormat string
+	var workers, maxInFlight, maxTerminals, cacheShards int
+	var traceSample float64
+	var slowQueryMS int64
 	var timeout time.Duration
+	var load loadConfig
+	fs := flag.NewFlagSet("chordalctl", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.BoolVar(&hyper, "hypergraph", false, "read a hypergraph and use its incidence graph")
+	fs.BoolVar(&jsonOut, "json", false, "print the classification report as JSON")
+	fs.BoolVar(&verbose, "v", false, "report compile timing, and each registry scheme's provenance, on stderr")
+	fs.BoolVar(&verbose, "verbose", false, "same as -v")
+	fs.StringVar(&compile, "compile", "", "write the compiled scheme as a snapshot `file`")
+	fs.StringVar(&warm, "warm", "", "with -compile: answer the query `file` into the snapshot's warmup section")
+	fs.StringVar(&serve, "serve", "", "serve the schemes over HTTP on `addr`")
+	fs.IntVar(&maxInFlight, "max-inflight", httpd.DefaultMaxInFlight, "with -serve: concurrent-request bound (<= 0: unlimited)")
+	fs.IntVar(&maxTerminals, "max-terminals", 0, "terminals allowed per query (0: no limit)")
+	fs.IntVar(&cacheShards, "cache-shards", 0, "answer-cache shards per scheme, rounded up to a power of two (default GOMAXPROCS, at most 64)")
+	fs.Float64Var(&traceSample, "trace-sample", 0, "with -serve: head-sampling probability of request traces, in [0,1]")
+	fs.Int64Var(&slowQueryMS, "slow-query-ms", 500, "with -serve: slow-query threshold in milliseconds (0 disables)")
+	fs.StringVar(&logFormat, "log-format", "text", "with -serve: log format, json or text")
+	fs.StringVar(&cpuprofile, "cpuprofile", "", "write a CPU profile of the serving run to `file`")
+	fs.StringVar(&memprofile, "memprofile", "", "write a heap profile at exit to `file`")
+	fs.StringVar(&batch, "batch", "", "answer the queries of `file` (- for standard input)")
+	fs.StringVar(&registry, "registry", "", "load one scheme per `name=file,...` pair")
+	fs.IntVar(&workers, "workers", 0, "concurrent workers (0: GOMAXPROCS)")
+	fs.DurationVar(&timeout, "timeout", 0, "deadline of the whole run (0: none)")
+	fs.StringVar(&load.target, "load", "", "run the load harness against `target`: self or an http(s) base URL")
+	fs.DurationVar(&load.duration, "load-duration", 2*time.Second, "with -load: warm-phase length")
+	fs.IntVar(&load.concurrency, "load-concurrency", 8, "with -load: client workers")
+	fs.Float64Var(&load.zipfS, "zipf-s", 1.2, "with -load: zipf exponent of warm-phase popularity (> 1)")
+	fs.Int64Var(&load.seed, "seed", 1, "with -load: workload seed")
+	fs.StringVar(&load.trace, "trace", "", "with -load: replay the warm phase from trace `file`")
+	fs.StringVar(&load.traceRecord, "trace-record", "", "with -load: record the warm-phase stream to `file`")
+
+	// Parse again after each positional argument, so the scheme file may
+	// come before, between or after the flags.
 	var files []string
-	for i := 0; i < len(args); i++ {
-		switch a := args[i]; a {
-		case "-hypergraph", "--hypergraph":
-			hyper = true
-		case "-json", "--json":
-			jsonOut = true
-		case "-v", "--v", "-verbose", "--verbose":
-			verbose = true
-		case "-compile", "--compile":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-compile needs an output file argument")
+	for {
+		if err := fs.Parse(args); err != nil {
+			if errors.Is(err, flag.ErrHelp) {
+				return nil
 			}
-			compile = args[i]
-		case "-warm", "--warm":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-warm needs a query file argument")
-			}
-			warm = args[i]
-		case "-serve", "--serve":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-serve needs a listen address argument")
-			}
-			serve = args[i]
-		case "-max-inflight", "--max-inflight":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-max-inflight needs a count argument")
-			}
-			n, err := strconv.Atoi(args[i])
-			if err != nil {
-				return fmt.Errorf("-max-inflight: %v", err)
-			}
-			maxInFlight, maxInFlightSet = n, true
-		case "-max-terminals", "--max-terminals":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-max-terminals needs a count argument")
-			}
-			n, err := strconv.Atoi(args[i])
-			if err != nil {
-				return fmt.Errorf("-max-terminals: %v", err)
-			}
-			maxTerminals = n
-		case "-cache-shards", "--cache-shards":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-cache-shards needs a count argument")
-			}
-			n, err := strconv.Atoi(args[i])
-			if err != nil {
-				return fmt.Errorf("-cache-shards: %v", err)
-			}
-			if n < 1 {
-				return fmt.Errorf("-cache-shards: count must be >= 1 (rounded up to a power of two)")
-			}
-			cacheShards = n
-		case "-trace-sample", "--trace-sample":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-trace-sample needs a probability argument in [0,1]")
-			}
-			p, err := strconv.ParseFloat(args[i], 64)
-			if err != nil {
-				return fmt.Errorf("-trace-sample: %v", err)
-			}
-			if p < 0 || p > 1 {
-				return fmt.Errorf("-trace-sample: probability must be in [0,1]")
-			}
-			traceSample, serveObsFlagSet = p, true
-		case "-slow-query-ms", "--slow-query-ms":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-slow-query-ms needs a millisecond argument (0 disables)")
-			}
-			n, err := strconv.ParseInt(args[i], 10, 64)
-			if err != nil {
-				return fmt.Errorf("-slow-query-ms: %v", err)
-			}
-			if n < 0 {
-				return fmt.Errorf("-slow-query-ms: must be >= 0 (0 disables)")
-			}
-			slowQueryMS, serveObsFlagSet = n, true
-		case "-log-format", "--log-format":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-log-format needs a format argument (json or text)")
-			}
-			if args[i] != "json" && args[i] != "text" {
-				return fmt.Errorf("-log-format: want json or text, got %q", args[i])
-			}
-			logFormat, serveObsFlagSet = args[i], true
-		case "-cpuprofile", "--cpuprofile":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-cpuprofile needs an output file argument")
-			}
-			cpuprofile = args[i]
-		case "-memprofile", "--memprofile":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-memprofile needs an output file argument")
-			}
-			memprofile = args[i]
-		case "-load", "--load":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-load needs a target argument (\"self\" or a base URL)")
-			}
-			load.target = args[i]
-		case "-load-duration", "--load-duration":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-load-duration needs a duration argument")
-			}
-			d, err := time.ParseDuration(args[i])
-			if err != nil {
-				return fmt.Errorf("-load-duration: %w", err)
-			}
-			if d <= 0 {
-				return fmt.Errorf("-load-duration: must be positive")
-			}
-			load.duration, loadFlagSet = d, true
-		case "-load-concurrency", "--load-concurrency":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-load-concurrency needs a count argument")
-			}
-			n, err := strconv.Atoi(args[i])
-			if err != nil {
-				return fmt.Errorf("-load-concurrency: %w", err)
-			}
-			if n < 1 {
-				return fmt.Errorf("-load-concurrency: count must be >= 1")
-			}
-			load.concurrency, loadFlagSet = n, true
-		case "-zipf-s", "--zipf-s":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-zipf-s needs a float argument")
-			}
-			s, err := strconv.ParseFloat(args[i], 64)
-			if err != nil {
-				return fmt.Errorf("-zipf-s: %w", err)
-			}
-			if s <= 1 {
-				return fmt.Errorf("-zipf-s: exponent must be > 1")
-			}
-			load.zipfS, loadFlagSet = s, true
-		case "-seed", "--seed":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-seed needs an integer argument")
-			}
-			n, err := strconv.ParseInt(args[i], 10, 64)
-			if err != nil {
-				return fmt.Errorf("-seed: %w", err)
-			}
-			load.seed, loadFlagSet = n, true
-		case "-trace", "--trace":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-trace needs a trace file argument")
-			}
-			load.trace, loadFlagSet = args[i], true
-		case "-trace-record", "--trace-record":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-trace-record needs an output file argument")
-			}
-			load.traceRecord, loadFlagSet = args[i], true
-		case "-bench-out", "--bench-out":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-bench-out needs an output file argument")
-			}
-			load.benchOut, loadFlagSet = args[i], true
-		case "-bench-tag", "--bench-tag":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-bench-tag needs a tag argument")
-			}
-			load.benchTag, loadFlagSet = args[i], true
-		case "-bench-merge", "--bench-merge":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-bench-merge needs a JSON file argument")
-			}
-			load.benchMerge, loadFlagSet = args[i], true
-		case "-batch", "--batch":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-batch needs a query file argument")
-			}
-			batch = args[i]
-		case "-registry", "--registry":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-registry needs a name=file[,name=file...] argument")
-			}
-			registry = args[i]
-		case "-workers", "--workers":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-workers needs a count argument")
-			}
-			n, err := strconv.Atoi(args[i])
-			if err != nil {
-				return fmt.Errorf("-workers: %v", err)
-			}
-			workers = n
-		case "-timeout", "--timeout":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-timeout needs a duration argument")
-			}
-			d, err := time.ParseDuration(args[i])
-			if err != nil {
-				return fmt.Errorf("-timeout: %v", err)
-			}
-			timeout = d
-		default:
-			files = append(files, a)
+			return err
 		}
+		if fs.NArg() == 0 {
+			break
+		}
+		files = append(files, fs.Arg(0))
+		args = fs.Args()[1:]
 	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	switch {
+	case set["cache-shards"] && cacheShards < 1:
+		return fmt.Errorf("-cache-shards: count must be >= 1 (rounded up to a power of two)")
+	case traceSample < 0 || traceSample > 1:
+		return fmt.Errorf("-trace-sample: probability must be in [0,1]")
+	case slowQueryMS < 0:
+		return fmt.Errorf("-slow-query-ms: must be >= 0 (0 disables)")
+	case logFormat != "json" && logFormat != "text":
+		return fmt.Errorf("-log-format: want json or text, got %q", logFormat)
+	case load.duration <= 0:
+		return fmt.Errorf("-load-duration: must be positive")
+	case load.concurrency < 1:
+		return fmt.Errorf("-load-concurrency: count must be >= 1")
+	case load.zipfS <= 1:
+		return fmt.Errorf("-zipf-s: exponent must be > 1")
+	}
+	serveObsFlagSet := set["trace-sample"] || set["slow-query-ms"] || set["log-format"]
+	loadFlagSet := set["load-duration"] || set["load-concurrency"] || set["zipf-s"] ||
+		set["seed"] || set["trace"] || set["trace-record"]
+
 	ctx := context.Background()
 	if timeout > 0 {
 		var cancel context.CancelFunc
@@ -416,17 +251,13 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (retErr error
 			return fmt.Errorf("-json/-hypergraph do not apply to -load")
 		case workers > 0:
 			return fmt.Errorf("-workers does not apply to -load (use -load-concurrency)")
-		case load.benchOut != "" && load.benchTag == "":
-			return fmt.Errorf("-bench-out needs -bench-tag (trajectory files are named and compared by tag)")
-		case load.benchMerge != "" && load.benchOut == "":
-			return fmt.Errorf("-bench-merge folds micro-benchmark rows into the -bench-out file; pass -bench-out too")
 		case load.trace != "" && load.traceRecord != "":
 			return fmt.Errorf("-trace-record records the generated stream; it cannot be combined with -trace replay")
 		case load.target != "self" && !strings.HasPrefix(load.target, "http://") && !strings.HasPrefix(load.target, "https://"):
 			return fmt.Errorf("-load target must be \"self\" or an http(s) base URL, got %q", load.target)
 		}
 	} else if loadFlagSet {
-		return fmt.Errorf("-load-duration/-load-concurrency/-zipf-s/-seed/-trace/-trace-record/-bench-* only apply to -load")
+		return fmt.Errorf("-load-duration/-load-concurrency/-zipf-s/-seed/-trace/-trace-record only apply to -load")
 	}
 	if serve != "" && batch != "" {
 		return fmt.Errorf("-batch is incompatible with -serve (use POST /v1/batch against the server)")
@@ -434,7 +265,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (retErr error
 	if serve != "" && jsonOut {
 		return fmt.Errorf("-json is incompatible with -serve (every endpoint already answers JSON)")
 	}
-	if serve == "" && maxInFlightSet {
+	if serve == "" && set["max-inflight"] {
 		return fmt.Errorf("-max-inflight only applies to -serve")
 	}
 	if serve == "" && serveObsFlagSet {
@@ -812,44 +643,24 @@ func loadRegistry(spec string, hyper bool, workers int, verbose io.Writer, opts 
 	if err != nil {
 		return nil, err
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(entries) {
-		workers = len(entries)
-	}
-
 	reg := core.NewRegistry()
 	errs := make([]error, len(entries))
 	var vmu sync.Mutex // serializes verbose lines, not the loads
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				e := entries[i]
-				start := time.Now()
-				source, err := loadRegistryEntry(reg, e, hyper, opts)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				if verbose != nil {
-					vmu.Lock()
-					fmt.Fprintf(verbose, "chordalctl: scheme %q: %s from %s in %v\n",
-						e.name, source, e.file, time.Since(start).Round(time.Microsecond))
-					vmu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := range entries {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	forEach(len(entries), workers, func(i int) {
+		e := entries[i]
+		start := time.Now()
+		source, err := loadRegistryEntry(reg, e, hyper, opts)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		if verbose != nil {
+			vmu.Lock()
+			fmt.Fprintf(verbose, "chordalctl: scheme %q: %s from %s in %v\n",
+				e.name, source, e.file, time.Since(start).Round(time.Microsecond))
+			vmu.Unlock()
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -1005,32 +816,11 @@ func parseQueries(r io.Reader, prefixed bool, resolve func(scheme string) (*core
 // prints answers to stdout in query order and line-numbered diagnostics
 // for every failure to stderr.
 func answerBatch(ctx context.Context, queries []batchQuery, stdout, stderr io.Writer, workers int) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				q := &queries[i]
-				if q.err != nil {
-					continue
-				}
-				q.conn, q.err = q.svc.Connect(ctx, q.terms)
-			}
-		}()
-	}
-	for i := range queries {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	forEach(len(queries), workers, func(i int) {
+		if q := &queries[i]; q.err == nil {
+			q.conn, q.err = q.svc.Connect(ctx, q.terms)
+		}
+	})
 
 	for i, q := range queries {
 		if q.err != nil {

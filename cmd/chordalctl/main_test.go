@@ -92,6 +92,51 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunArgumentOrder: the scheme file may come before, between or after
+// the flags, a flag takes one dash or two, and any other argument that
+// starts with a dash is an undefined flag, not a file name.
+func TestRunArgumentOrder(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.txt")
+	if err := os.WriteFile(path, []byte(fig3cInput), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var want string
+	for _, args := range [][]string{{path, "-json"}, {"--json", path}, {"-json", path}, {"-v", path, "--json"}} {
+		var out, errOut bytes.Buffer
+		if err := run(args, nil, &out, &errOut); err != nil {
+			t.Fatalf("args %v: %v", args, err)
+		}
+		if want == "" {
+			want = out.String()
+			if !strings.Contains(want, `"h1Degree": "beta-acyclic"`) {
+				t.Fatalf("args %v: json report unexpected:\n%s", args, want)
+			}
+		} else if out.String() != want {
+			t.Errorf("args %v printed\n%s\nwant\n%s", args, out.String(), want)
+		}
+	}
+
+	for _, args := range [][]string{{"-jsn", path}, {"-bench-out", "x", path}} {
+		var out, errOut bytes.Buffer
+		if err := run(args, nil, &out, &errOut); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("args %v: err = %v, want an undefined-flag error", args, err)
+		}
+	}
+
+	var out, errOut bytes.Buffer
+	if err := run([]string{"-h"}, nil, &out, &errOut); err != nil {
+		t.Fatalf("-h: %v", err)
+	}
+	for _, name := range []string{"-batch", "-serve", "-compile", "-load-duration", "-verbose"} {
+		if !strings.Contains(errOut.String(), name) {
+			t.Errorf("-h usage does not list %s:\n%s", name, errOut.String())
+		}
+	}
+	if out.Len() != 0 {
+		t.Errorf("-h wrote to stdout:\n%s", out.String())
+	}
+}
+
 func TestRunBatch(t *testing.T) {
 	dir := t.TempDir()
 	qpath := filepath.Join(dir, "queries.txt")
