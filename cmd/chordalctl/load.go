@@ -114,9 +114,10 @@ func runLoad(ctx context.Context, cfg loadConfig, stdout, stderr io.Writer, sche
 
 	d := &loadDriver{base: base, client: &http.Client{Timeout: 30 * time.Second}}
 
-	// Cold pass: every pool query exactly once, shuffled across schemes,
-	// so each one is a compulsory cache miss (on a fresh server).
-	shuffled := append([]poolQuery(nil), pool...)
+	// Cold pass: every distinct pool query exactly once, shuffled across
+	// schemes, so each one is a compulsory cache miss (on a fresh server).
+	// A replayed trace repeats queries; only the warm pass sends repeats.
+	shuffled := distinctQueries(pool)
 	rand.New(rand.NewSource(cfg.seed^0x5eed)).Shuffle(len(shuffled), func(i, j int) {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 	})
@@ -169,6 +170,20 @@ func runLoad(ctx context.Context, cfg loadConfig, stdout, stderr io.Writer, sche
 	fmt.Fprintf(stdout, "load: warm %d requests (%d errors) %.0f qps, p50 %.2fms p99 %.2fms, hit rate %.2f\n",
 		warm.requests, warm.errors, warm.qps, warm.p50ms, warm.p99ms, warm.cacheHitRate)
 	return nil
+}
+
+// distinctQueries returns the pool without repeats, first occurrences in
+// order. The body names the scheme, so equal bodies ask the same query.
+func distinctQueries(pool []poolQuery) []poolQuery {
+	seen := make(map[string]bool, len(pool))
+	var out []poolQuery
+	for _, q := range pool {
+		if !seen[q.body] {
+			seen[q.body] = true
+			out = append(out, q)
+		}
+	}
+	return out
 }
 
 // loadSchemeMix builds the self-mode multi-tenant catalog: one scheme per

@@ -64,7 +64,8 @@ func TestQuantileMS(t *testing.T) {
 }
 
 // TestRunLoadTraceRoundTrip records the warm phase to a trace file, then
-// replays it and checks replay issues exactly the recorded request count.
+// replays it and checks the request counts: the distinct recorded queries
+// in the cold pass, and every recorded query in the warm pass.
 func TestRunLoadTraceRoundTrip(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "warm.trace")
 	var stdout, stderr bytes.Buffer
@@ -78,9 +79,11 @@ func TestRunLoadTraceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var lines int
+	distinct := map[string]bool{}
 	for _, l := range strings.Split(string(raw), "\n") {
 		if l != "" && !strings.HasPrefix(l, "#") {
 			lines++
+			distinct[l] = true
 		}
 	}
 	if lines == 0 {
@@ -92,10 +95,14 @@ func TestRunLoadTraceRoundTrip(t *testing.T) {
 	if err := run(replay, strings.NewReader(""), &stdout, &stderr); err != nil {
 		t.Fatalf("replay: %v\nstderr: %s", err, stderr.String())
 	}
-	// Replay issues each recorded query exactly once.
+	// The cold pass sends each distinct query once; the warm pass replays
+	// every recorded query, repeats included, exactly once.
+	wantCold := "cold " + strconv.Itoa(len(distinct)) + " requests (0 errors)"
 	wantWarm := "warm " + strconv.Itoa(lines) + " requests (0 errors)"
-	if !strings.Contains(stdout.String(), wantWarm) {
-		t.Errorf("replay stdout missing %q:\n%s", wantWarm, stdout.String())
+	for _, want := range []string{wantCold, wantWarm} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Errorf("replay stdout missing %q:\n%s", want, stdout.String())
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/bipartite"
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/intset"
 	"repro/internal/reference"
 	"repro/internal/steiner"
 )
@@ -98,6 +99,42 @@ func FuzzConnectOptimal(f *testing.F) {
 		if conn.V2Optimal {
 			if got, want := steiner.V2Count(b, conn.Tree), reference.MinimumV2Count(b, terms); got != want {
 				t.Fatalf("%v %v: flagged V2-optimal with %d V2 nodes, optimum %d", terms, conn.Method, got, want)
+			}
+		}
+	})
+}
+
+// FuzzInterpretations holds Connector.Interpretations to the brute-force
+// ranking of reference.RankedConnections over the same seven families:
+// the same node sets in the same order, each with its auxiliary set equal
+// to its nodes minus the terminals. The fuzz input picks the scheme, 1–4
+// terminals, max_aux 0–3 and limit 1–6.
+func FuzzInterpretations(f *testing.F) {
+	for family := uint8(0); family < 7; family++ {
+		f.Add(family, 5*family+3, family, family, 2*family, int64(family))
+	}
+	f.Fuzz(func(t *testing.T, family, size, nTerms, maxAux, limit uint8, seed int64) {
+		r := rand.New(rand.NewSource(seed))
+		b := fuzzScheme(r, family, size)
+		k := min(1+int(nTerms)%4, b.N())
+		terms := r.Perm(b.N())[:k]
+		aux, lim := int(maxAux)%4, 1+int(limit)%6
+
+		got, err := core.New(b).Interpretations(context.Background(), terms, aux, lim)
+		if err != nil {
+			t.Fatalf("%v max_aux %d limit %d: %v", terms, aux, lim, err)
+		}
+		want := reference.RankedConnections(b.G(), terms, aux, lim)
+		if len(got) != len(want) {
+			t.Fatalf("%v max_aux %d limit %d: %d interpretations %v, oracle %d %v", terms, aux, lim, len(got), got, len(want), want)
+		}
+		p := intset.FromSlice(terms)
+		for i, in := range got {
+			if !in.Nodes.Equal(want[i]) {
+				t.Fatalf("%v max_aux %d limit %d: interpretation %d is %v, oracle %v", terms, aux, lim, i, in.Nodes, want[i])
+			}
+			if !in.Auxiliary.Equal(in.Nodes.Diff(p)) {
+				t.Fatalf("%v: interpretation %v has auxiliary set %v", terms, in.Nodes, in.Auxiliary)
 			}
 		}
 	})

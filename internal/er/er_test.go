@@ -2,7 +2,12 @@ package er
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
+
+	"repro/internal/reference"
 )
 
 func TestSchemeValidation(t *testing.T) {
@@ -139,5 +144,68 @@ func TestObjectLookupAndKinds(t *testing.T) {
 	}
 	if len(s.Objects()) != 7 {
 		t.Error("Objects() wrong length")
+	}
+}
+
+// TestMinimalConnectionIsNodeMinimum holds MinimalConnection to the
+// brute-force node minimum of reference.SteinerMinimumNodes, on random
+// schemes and on a hub scheme: three attributes, five entities over
+// a0–a1, five over a1–a2, and a hub entity over all three, declared last,
+// so that {a0, a1, a2, hub} is the only minimum.
+func TestMinimalConnectionIsNodeMinimum(t *testing.T) {
+	hub := []Object{{Name: "a0", Kind: KindAttribute}, {Name: "a1", Kind: KindAttribute}, {Name: "a2", Kind: KindAttribute}}
+	for i := 0; i < 10; i++ {
+		hub = append(hub, Object{Name: fmt.Sprintf("e%d", i), Kind: KindEntity,
+			Components: []string{fmt.Sprintf("a%d", i/5), fmt.Sprintf("a%d", i/5+1)}})
+	}
+	hub = append(hub, Object{Name: "hub", Kind: KindEntity, Components: []string{"a0", "a1", "a2"}})
+	schemes := []*Scheme{MustScheme(hub...)}
+	queries := [][]string{{"a0", "a1", "a2"}}
+
+	r := rand.New(rand.NewSource(24))
+	for i := 0; i < 80; i++ {
+		var objs []Object
+		var names []string
+		add := func(kind Kind, prefix string, n int, from []string, parts int) []string {
+			var added []string
+			for j := 0; j < n; j++ {
+				o := Object{Name: fmt.Sprintf("%s%d", prefix, j), Kind: kind}
+				for c := 0; c < parts && len(from) > 0; c++ {
+					if part := from[r.Intn(len(from))]; !slices.Contains(o.Components, part) {
+						o.Components = append(o.Components, part)
+					}
+				}
+				objs = append(objs, o)
+				added = append(added, o.Name)
+			}
+			names = append(names, added...)
+			return added
+		}
+		attrs := add(KindAttribute, "a", 2+r.Intn(4), nil, 0)
+		ents := add(KindEntity, "e", 1+r.Intn(4), attrs, 1+r.Intn(2))
+		add(KindRelationship, "r", r.Intn(3), ents, 2)
+		schemes = append(schemes, MustScheme(objs...))
+		k := 2 + r.Intn(2)
+		q := make([]string, k)
+		for j, idx := range r.Perm(len(names))[:k] {
+			q[j] = names[idx]
+		}
+		queries = append(queries, q)
+	}
+
+	for i, s := range schemes {
+		q := queries[i]
+		g := s.Graph()
+		want := reference.SteinerMinimumNodes(g, g.IDs(q...))
+		conn, err := s.MinimalConnection(context.Background(), q)
+		switch {
+		case want == -1 && err == nil:
+			t.Fatalf("scheme %d %v: connected as %v, but no cover exists", i, q, conn)
+		case want == -1:
+		case err != nil:
+			t.Fatalf("scheme %d %v: %v, want a %d-object connection", i, q, err, want)
+		case len(conn.Objects) != want:
+			t.Fatalf("scheme %d %v: minimal connection %v has %d objects, minimum %d", i, q, conn.Objects, len(conn.Objects), want)
+		}
 	}
 }

@@ -11,6 +11,8 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -49,6 +51,11 @@ type Handler struct {
 	solveDur *metrics.Histogram // query-endpoint latency; drives Retry-After
 	sheds    *metrics.Counter
 	swaps    *metrics.Counter
+	// reqSeries maps an (endpoint, method, code) triple to its request
+	// series, copy-on-write under reqMu, so a request finds them without
+	// the registry rebuilding label signatures.
+	reqSeries atomic.Pointer[map[requestKey]requestSeries]
+	reqMu     sync.Mutex
 
 	// Tracing (trace.go). Both nil by default: an untraced, unlogged
 	// handler does no per-request tracing work whatsoever.
@@ -154,7 +161,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			h.sheds.Inc()
 			h.met.Counter(MetricRequestsTotal,
 				"HTTP requests by endpoint, method and status code.",
-				metrics.L("endpoint", endpoint), metrics.L("method", r.Method),
+				metrics.L("endpoint", endpoint), metrics.L("method", methodLabel(r.Method)),
 				metrics.L("code", strconv.Itoa(http.StatusTooManyRequests))).Inc()
 			w.Header().Set("Retry-After", h.retryAfterSeconds())
 			writeError(w, http.StatusTooManyRequests, CodeOverloaded,

@@ -1,6 +1,7 @@
 package httpd
 
 import (
+	"maps"
 	"math"
 	"net/http"
 	"strconv"
@@ -49,6 +50,7 @@ const (
 func (h *Handler) initMetrics() {
 	m := metrics.NewRegistry()
 	h.met = m
+	h.reqSeries.Store(&map[requestKey]requestSeries{})
 	h.solveDur = m.Histogram(MetricSolveDuration,
 		"End-to-end latency of query endpoints (/v1/connect, /v1/batch, /v1/interpretations); feeds the Retry-After estimate.",
 		metrics.DefLatencyBounds())
@@ -226,19 +228,65 @@ func queryEndpoint(endpoint string) bool {
 	return false
 }
 
+// methodLabel maps a request method to the bounded method label set, so
+// series cardinality cannot grow with the method tokens clients send.
+func methodLabel(method string) string {
+	switch method {
+	case http.MethodGet, http.MethodHead, http.MethodPost, http.MethodPut, http.MethodDelete:
+		return method
+	}
+	return "other"
+}
+
+// requestKey identifies one request's series: its endpoint and method
+// labels and its status code.
+type requestKey struct {
+	endpoint, method string
+	code             int
+}
+
+// requestSeries are the two series a routed request records on.
+type requestSeries struct {
+	dur   *metrics.Histogram
+	total *metrics.Counter
+}
+
+// requestSeriesFor returns k's series, registering them on first use.
+func (h *Handler) requestSeriesFor(k requestKey) requestSeries {
+	if s, ok := (*h.reqSeries.Load())[k]; ok {
+		return s
+	}
+	h.reqMu.Lock()
+	defer h.reqMu.Unlock()
+	old := *h.reqSeries.Load()
+	if s, ok := old[k]; ok {
+		return s
+	}
+	s := requestSeries{
+		dur: h.met.Histogram(MetricRequestDuration,
+			"HTTP request latency by endpoint and method.",
+			metrics.DefLatencyBounds(),
+			metrics.L("endpoint", k.endpoint), metrics.L("method", k.method)),
+		total: h.met.Counter(MetricRequestsTotal,
+			"HTTP requests by endpoint, method and status code.",
+			metrics.L("endpoint", k.endpoint), metrics.L("method", k.method),
+			metrics.L("code", strconv.Itoa(k.code))),
+	}
+	next := make(map[requestKey]requestSeries, len(old)+1)
+	maps.Copy(next, old)
+	next[k] = s
+	h.reqSeries.Store(&next)
+	return s
+}
+
 // observeRequest records one routed request on the per-endpoint metric
 // families. traceID, when non-empty, is the id of the request's retained
 // trace and is offered to the solve histogram as its exemplar, linking
 // the latency tail back to a trace /v1/traces can actually resolve.
 func (h *Handler) observeRequest(endpoint, method string, status int, d time.Duration, traceID string) {
-	h.met.Histogram(MetricRequestDuration,
-		"HTTP request latency by endpoint and method.",
-		metrics.DefLatencyBounds(),
-		metrics.L("endpoint", endpoint), metrics.L("method", method)).ObserveDuration(d)
-	h.met.Counter(MetricRequestsTotal,
-		"HTTP requests by endpoint, method and status code.",
-		metrics.L("endpoint", endpoint), metrics.L("method", method),
-		metrics.L("code", strconv.Itoa(status))).Inc()
+	s := h.requestSeriesFor(requestKey{endpoint, methodLabel(method), status})
+	s.dur.ObserveDuration(d)
+	s.total.Inc()
 	if queryEndpoint(endpoint) {
 		h.solveDur.ObserveWithExemplar(d.Seconds(), traceID)
 	}

@@ -142,6 +142,33 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestMethodLabelBounded sends 50 distinct method tokens and requires
+// them to share one "other" series per family, where each would otherwise
+// add its own histogram and counter series to every scrape.
+func TestMethodLabelBounded(t *testing.T) {
+	h := New(testRegistry())
+	for i := 0; i < 50; i++ {
+		do(t, h, fmt.Sprintf("M%d", i), "/v1/connect", "")
+	}
+	w := do(t, h, "GET", "/metrics", "")
+	var durSeries int
+	for _, line := range strings.Split(w.Body.String(), "\n") {
+		if strings.HasPrefix(line, MetricRequestDuration+"_count{") {
+			durSeries++
+		}
+	}
+	if durSeries != 1 {
+		t.Errorf("%d request-duration series after 50 method tokens, want 1", durSeries)
+	}
+	m := scrape(t, h)
+	if got := m[series(MetricRequestDuration+"_count", "endpoint", "/v1/connect", "method", "other")]; got != 50 {
+		t.Errorf("other-method duration count = %g, want 50", got)
+	}
+	if got := m[series(MetricRequestsTotal, "endpoint", "/v1/connect", "method", "other", "code", "405")]; got != 50 {
+		t.Errorf("other-method 405 count = %g, want 50", got)
+	}
+}
+
 // TestMetricsReconcileWithStats asserts the reconciliation algebra on the
 // values a scraper actually sees — including the cancellation path, which
 // removes its poisoned entry and must export the removal. The /metrics

@@ -1,8 +1,10 @@
 package intset
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -221,16 +223,61 @@ func (s Set) InterLen(t Set) int {
 	return n
 }
 
-// Key returns a canonical string usable as a map key.
+// Key returns a canonical string usable as a map key: the elements in
+// decimal, comma-separated.
 func (s Set) Key() string {
-	var b strings.Builder
+	var small [64]byte // a short key builds on the stack: one allocation
+	b := small[:0]
 	for i, x := range s {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d", x)
+		b = strconv.AppendInt(b, int64(x), 10)
 	}
-	return b.String()
+	return string(b)
+}
+
+// CompareKey orders s and t as s.Key() and t.Key() compare, without
+// building either string: element by element, each as its decimal
+// digits, a proper prefix first (so 10 sorts before 9, and 1 before 10),
+// and a set that is a prefix of the other first. Elements must be
+// non-negative, as node ids are.
+func (s Set) CompareKey(t Set) int {
+	for i := 0; i < len(s) && i < len(t); i++ {
+		if c := compareDecimal(s[i], t[i]); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(len(s), len(t))
+}
+
+// compareDecimal orders non-negative x and y as their decimal strings:
+// cut the longer to the shorter's digit count, compare the numbers, and
+// on a tie the shorter, a prefix of the other, comes first.
+func compareDecimal(x, y int) int {
+	if x == y {
+		return 0
+	}
+	dx, dy := decimalDigits(x), decimalDigits(y)
+	for d := dx; d < dy; d++ {
+		y /= 10
+	}
+	for d := dy; d < dx; d++ {
+		x /= 10
+	}
+	if c := cmp.Compare(x, y); c != 0 {
+		return c
+	}
+	return cmp.Compare(dx, dy)
+}
+
+// decimalDigits returns the number of decimal digits of x ≥ 0.
+func decimalDigits(x int) int {
+	n := 1
+	for ; x >= 10; x /= 10 {
+		n++
+	}
+	return n
 }
 
 // String renders the set as "{a, b, c}".

@@ -1,7 +1,9 @@
 package intset
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -143,6 +145,46 @@ func TestKeyString(t *testing.T) {
 	}
 	if got := Set(nil).String(); got != "{}" {
 		t.Errorf("empty String = %q", got)
+	}
+}
+
+// randomKeySet draws a set mixing 0, one-digit and many-digit elements.
+func randomKeySet(r *rand.Rand) Set {
+	elems := make([]int, r.Intn(6))
+	for i := range elems {
+		elems[i] = r.Intn([]int{2, 10, 120, 1 << 20, 1 << 40}[r.Intn(5)])
+	}
+	return FromSlice(elems)
+}
+
+// TestKeyMatchesFmt holds Key to a fmt rendering of the same format.
+func TestKeyMatchesFmt(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 2000; i++ {
+		s := randomKeySet(r)
+		parts := make([]string, len(s))
+		for j, x := range s {
+			parts[j] = fmt.Sprintf("%d", x)
+		}
+		if got, want := s.Key(), strings.Join(parts, ","); got != want {
+			t.Fatalf("Key(%v) = %q, want %q", []int(s), got, want)
+		}
+	}
+}
+
+// TestCompareKeyMatchesKeyOrder holds CompareKey to comparing the Key
+// strings, on random sets and on the prefix cases (1 < 10 < 9).
+func TestCompareKeyMatchesKeyOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	pairs := [][2]Set{{New(1), New(10)}, {New(10), New(9)}, {New(1, 2), New(1, 2, 3)}, {New(0, 10), New(0, 1)}, {nil, New(0)}}
+	for i := 0; i < 5000; i++ {
+		pairs = append(pairs, [2]Set{randomKeySet(r), randomKeySet(r)})
+	}
+	for _, pr := range pairs {
+		s, u := pr[0], pr[1]
+		if got, want := s.CompareKey(u), strings.Compare(s.Key(), u.Key()); got != want {
+			t.Fatalf("%v.CompareKey(%v) = %d, want %d (keys %q, %q)", []int(s), []int(u), got, want, s.Key(), u.Key())
+		}
 	}
 }
 
