@@ -20,7 +20,7 @@ func fullCache(tb testing.TB) (c *Cache[*box], miss func()) {
 		ring[i] = fmt.Sprintf("m4#%d,%d", i, i+17)
 	}
 	next := 0
-	for ; c.Len() < c.Capacity(); next++ {
+	for ; sumShardStats(c).Entries < c.Capacity(); next++ {
 		if next == len(ring) {
 			tb.Fatal("ring exhausted before the cache filled")
 		}

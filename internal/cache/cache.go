@@ -49,9 +49,6 @@ type Cache[V comparable] struct {
 	// entry: probes pass over it, so the entries behind it in a probe
 	// chain stay reachable, and inserts reuse the slot.
 	tomb *entry[V]
-	// evictions counts entries dropped by capacity pressure across all
-	// shards; atomic so Evictions never takes a shard lock.
-	evictions atomic.Uint64
 	// lockAcquires counts every shard-mutex acquisition; tests subtract
 	// snapshots around a hit-only workload to prove the read path is
 	// lock-free.
@@ -71,11 +68,11 @@ const minSlots = 8
 
 // shard is one slice of the key space. idx is the only structure readers
 // touch; mu serializes writers (insert, evict, remove, cost fills), which
-// update idx in place and own live and used. Counters are atomics so the
-// hit path and the stats methods never need the lock either; the
-// miss-path counters are only written under mu but are read lock-free by
-// ShardStats. The trailing pad keeps neighbouring shards' hot fields off
-// one cache line.
+// update idx in place and own live and used. The shards hold the cache's
+// only counters. They are atomics so the hit path and ShardStats never
+// need the lock either; the writer counters are only written under mu but
+// are read lock-free by ShardStats. The trailing pad keeps neighbouring
+// shards' hot fields off one cache line.
 type shard[V comparable] struct {
 	idx atomic.Pointer[index[V]]
 	mu  sync.Mutex
@@ -98,6 +95,7 @@ type shard[V comparable] struct {
 	hits        atomic.Uint64
 	misses      atomic.Uint64
 	evictions   atomic.Uint64
+	removals    atomic.Uint64
 	warmFills   atomic.Uint64
 	costAdded   atomic.Uint64
 	costEvicted atomic.Uint64
@@ -338,7 +336,6 @@ func (c *Cache[V]) insertLocked(s *shard[V], key string, h uint64, val V, costNa
 		s.live[i] = e
 		c.unlink(s, old, hash(old.key))
 		s.evictions.Add(1)
-		c.evictions.Add(1)
 		if cost := old.cost.Load(); cost > 0 {
 			s.costEvicted.Add(uint64(cost))
 		}
@@ -437,8 +434,7 @@ func costBonus(costNanos int64) int64 {
 // did. The identity check makes removal safe against the ABA race where a
 // capacity eviction plus re-insert replaced the caller's entry with a
 // fresh one between its insert and its Remove: the fresh entry survives.
-// Removals are deliberate (not capacity pressure) and are not counted by
-// Evictions.
+// A removal counts in its shard's Removals, never in its Evictions.
 func (c *Cache[V]) Remove(key string, v V) bool {
 	s, h := c.locate(key)
 	c.lock(s)
@@ -453,6 +449,7 @@ func (c *Cache[V]) Remove(key string, v V) bool {
 	s.live[last] = nil
 	s.live = s.live[:last]
 	s.entries.Add(-1)
+	s.removals.Add(1)
 	if cost := e.cost.Load(); cost > 0 {
 		s.costRemoved.Add(uint64(cost))
 	}
@@ -487,42 +484,22 @@ func (c *Cache[V]) Range(f func(key string, v V, costNanos int64) bool) {
 	}
 }
 
-// Len returns the total number of resident entries, summed across the
-// shards' counts. Lock-free; the sum is not an atomic point-in-time
-// snapshot under concurrent writes — fine for monitoring, which is its
-// job.
-func (c *Cache[V]) Len() int {
-	n := 0
-	for i := range c.shards {
-		n += int(c.shards[i].entries.Load())
-	}
-	return n
-}
-
-// Occupancy returns the number of resident entries per shard, in shard
-// order. Uniformly distributed keys should fill shards about evenly; a
-// heavily skewed occupancy means the key space is not hashing well.
-func (c *Cache[V]) Occupancy() []int {
-	occ := make([]int, len(c.shards))
-	for i := range c.shards {
-		occ[i] = int(c.shards[i].entries.Load())
-	}
-	return occ
-}
-
 // ShardStat is one shard's counters and occupancy, as returned by
 // ShardStats. Hits counts successful lock-free lookups (GetOrAdd hits
 // and Gets) on keys hashing to the shard; Misses counts GetOrAdd
 // inserts; WarmFills counts Add inserts; Evictions counts
-// capacity-pressure drops (conditional Removes are not counted, matching
-// Evictions()). The Cost fields carry the recompute-cost ledger in
-// nanoseconds: CostAdded − CostEvicted − CostRemoved is the cost resident
-// in the shard, and CostSaved accumulates the cost of every hit — solver
-// time the cache turned into a map lookup.
+// capacity-pressure drops and Removals successful conditional Removes.
+// Every insert adds an entry and every eviction or removal takes one
+// out, so Entries == Misses + WarmFills − Evictions − Removals. The Cost
+// fields carry the recompute-cost ledger in nanoseconds: CostAdded −
+// CostEvicted − CostRemoved is the cost resident in the shard, and
+// CostSaved accumulates the cost of every hit — solver time the cache
+// turned into a map lookup.
 type ShardStat struct {
 	Hits        uint64
 	Misses      uint64
 	Evictions   uint64
+	Removals    uint64
 	WarmFills   uint64
 	Entries     int
 	CostAdded   uint64
@@ -531,12 +508,11 @@ type ShardStat struct {
 	CostSaved   uint64
 }
 
-// ShardStats returns per-shard counters and occupancy, in shard order —
-// the observability view behind per-shard /metrics series. Hits sum to
-// the hit total, misses to the miss total, evictions to Evictions().
-// Lock-free: each shard's counters, its entry count included, are
-// atomics, so the slice is approximately consistent per shard but never
-// blocks a writer.
+// ShardStats returns per-shard counters and occupancy, in shard order.
+// The shards keep the cache's only counters, so every cache-wide figure
+// is a sum over this slice. Lock-free: each shard's counters, its entry
+// count included, are atomics, so the slice is approximately consistent
+// per shard but never blocks a writer.
 func (c *Cache[V]) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(c.shards))
 	for i := range c.shards {
@@ -545,6 +521,7 @@ func (c *Cache[V]) ShardStats() []ShardStat {
 			Hits:        s.hits.Load(),
 			Misses:      s.misses.Load(),
 			Evictions:   s.evictions.Load(),
+			Removals:    s.removals.Load(),
 			WarmFills:   s.warmFills.Load(),
 			Entries:     int(s.entries.Load()),
 			CostAdded:   s.costAdded.Load(),
@@ -556,61 +533,13 @@ func (c *Cache[V]) ShardStats() []ShardStat {
 	return out
 }
 
-// CostStats is the cache-wide recompute-cost ledger, in nanoseconds of
-// solver wall time: Added accumulates costs recorded at fill (SetCost
-// and warm Adds), Evicted and Removed the cost of entries dropped by
-// capacity pressure and conditional removal, and Saved the cost of every
-// hit. Resident cost — solver time currently banked in the cache — is
-// Added − Evicted − Removed, an identity the reconciliation tests
-// assert.
-type CostStats struct {
-	Added   uint64
-	Evicted uint64
-	Removed uint64
-	Saved   uint64
-}
-
-// Resident returns the cost currently banked in resident entries.
-func (cs CostStats) Resident() uint64 { return cs.Added - cs.Evicted - cs.Removed }
-
-// CostStats sums the per-shard cost ledgers. Lock-free, monitoring-grade
-// consistency like ShardStats.
-func (c *Cache[V]) CostStats() CostStats {
-	var cs CostStats
-	for i := range c.shards {
-		s := &c.shards[i]
-		cs.Added += s.costAdded.Load()
-		cs.Evicted += s.costEvicted.Load()
-		cs.Removed += s.costRemoved.Load()
-		cs.Saved += s.costSaved.Load()
-	}
-	return cs
-}
-
-// WarmFills returns how many entries were installed by Add (warm fills)
-// across all shards since construction.
-func (c *Cache[V]) WarmFills() uint64 {
-	var n uint64
-	for i := range c.shards {
-		n += c.shards[i].warmFills.Load()
-	}
-	return n
-}
-
 // Shards returns the shard count (always a power of two).
 func (c *Cache[V]) Shards() int { return len(c.shards) }
 
-// PerShard returns the per-shard entry capacity (always ≥ 1).
-func (c *Cache[V]) PerShard() int { return c.perShard }
-
-// Capacity returns the effective total capacity, Shards() × PerShard() —
-// at least the capacity requested of New, rounded up to a multiple of the
-// shard count.
+// Capacity returns the effective total capacity, Shards() × the
+// per-shard capacity — at least the capacity requested of New, rounded
+// up to a multiple of the shard count.
 func (c *Cache[V]) Capacity() int { return len(c.shards) * c.perShard }
-
-// Evictions returns how many entries capacity pressure has dropped across
-// all shards since construction. Conditional Removes are not counted.
-func (c *Cache[V]) Evictions() uint64 { return c.evictions.Load() }
 
 // LockAcquisitions returns how many times any shard mutex has been
 // acquired since construction — by design zero over a hit-only workload,

@@ -48,16 +48,21 @@
 // (pinned by test), because every insert opens a new tick window and
 // hits stamp strictly above it.
 //
-// The cost ledger is exposed per shard (ShardStat) and cache-wide
-// (CostStats): Added − Evicted − Removed equals the cost resident in the
-// cache, and Saved accumulates the recompute cost of every hit — the
-// solver time the cache has turned into index probes. Warm fills (Add,
-// used by snapshot warmup restore and Registry epoch-swap carry-over)
-// count separately from misses, so
+// # Counters
+//
+// The shards own every counter the cache keeps, and ShardStats is the
+// one way to read them: a cache-wide figure is the sum over the shards.
+// Each shard counts its hits, misses, warm fills (Add, used by snapshot
+// warmup restore and Registry epoch-swap carry-over), capacity
+// evictions and conditional removals, so per shard
 //
 //	entries == misses + warmFills − evictions − removals
 //
-// stays an exact identity, asserted by the reconciliation tests.
+// is an exact identity, asserted by the reconciliation tests. The cost
+// ledger is kept the same way: CostAdded − CostEvicted − CostRemoved
+// equals the cost resident in the shard, and CostSaved accumulates the
+// recompute cost of every hit — the solver time the cache has turned
+// into index probes.
 //
 // # Capacity rounding
 //

@@ -83,8 +83,8 @@ var harnessShardCounts = []int{1, 2, 0, 64}
 // (GetOrAdd / Get / Add / Remove / SetCost) against the lock-free cache
 // and the mutex-guarded reference, reconciling every outcome per key:
 // same hit/insert decision, same value identity, same conditional-remove
-// verdict, same final occupancy. Capacity exceeds the key space so no
-// eviction fires — eviction order is pinned separately by
+// verdict, same final occupancy and removal count. Capacity exceeds the
+// key space so no eviction fires — eviction order is pinned separately by
 // TestEvictionEquivalenceVsReference; this test pins the lock-free index
 // semantics against the one-lock model.
 func TestSequentialEquivalenceVsReference(t *testing.T) {
@@ -95,6 +95,7 @@ func TestSequentialEquivalenceVsReference(t *testing.T) {
 			c := New[*box](4*keys*MaxDefaultShards, shards) // per-shard floor can multiply capacity; stay above it
 			ref := newRef()
 			gen := 0
+			var removals uint64
 			for op := 0; op < 5000; op++ {
 				key := fmt.Sprintf("k%02d", r.Intn(keys))
 				switch r.Intn(5) {
@@ -127,23 +128,26 @@ func TestSequentialEquivalenceVsReference(t *testing.T) {
 					if r.Intn(2) == 0 {
 						victim = &box{key: key, gen: -1} // never-inserted identity: both must refuse
 					}
-					if rem, refRem := c.Remove(key, victim), ref.remove(key, victim); rem != refRem {
+					rem, refRem := c.Remove(key, victim), ref.remove(key, victim)
+					if rem != refRem {
 						t.Fatalf("op %d Remove(%q,%d): cache %v vs ref %v", op, key, victim.gen, rem, refRem)
+					}
+					if refRem {
+						removals++
 					}
 				}
 			}
-			if c.Len() != ref.len() {
-				t.Fatalf("final occupancy: cache %d vs ref %d", c.Len(), ref.len())
-			}
-			// With zero evictions the fill identity must be exact.
 			st := sumShardStats(c)
-			if ev := c.Evictions(); ev != 0 {
-				t.Fatalf("capacity sized above key space, yet %d evictions", ev)
+			if st.Entries != ref.len() {
+				t.Fatalf("final occupancy: cache %d vs ref %d", st.Entries, ref.len())
 			}
-			wantLen := int(st.Misses+st.WarmFills) - removalsIn(c, ref)
-			if c.Len() != wantLen {
-				t.Fatalf("entries %d != misses %d + warmFills %d - removals %d", c.Len(), st.Misses, st.WarmFills, removalsIn(c, ref))
+			if st.Evictions != 0 {
+				t.Fatalf("capacity sized above key space, yet %d evictions", st.Evictions)
 			}
+			if st.Removals != removals {
+				t.Fatalf("cache counted %d removals, the reference made %d", st.Removals, removals)
+			}
+			checkShardAlgebra(t, "final", c, residents(t, c))
 		})
 	}
 }
@@ -172,7 +176,7 @@ type policyEntry struct {
 }
 
 func newPolicyRef(c *Cache[*box]) *policyRef {
-	p := &policyRef{perShard: c.PerShard(), shardOf: c.ShardIndex, shards: make([]policyShard, c.Shards())}
+	p := &policyRef{perShard: c.Capacity() / c.Shards(), shardOf: c.ShardIndex, shards: make([]policyShard, c.Shards())}
 	for i := range p.shards {
 		p.shards[i].table = make(map[string]*policyEntry)
 	}
@@ -266,6 +270,7 @@ func (p *policyRef) remove(key string, v *box) bool {
 		return false
 	}
 	delete(s.table, key)
+	s.stats.Removals++
 	if e.cost > 0 {
 		s.stats.CostRemoved += uint64(e.cost)
 	}
@@ -282,8 +287,8 @@ type resident struct {
 // GetOrAdd / Get / Add / Remove / SetCost ops, with a key space larger
 // than the capacity so most inserts evict, against the cache and
 // policyRef, and after every op requires the same outcome, the same
-// victim, and the same Len, Occupancy, ShardStats, CostStats and Range
-// contents. Per-shard capacities {1, 3, 16} over {1, 2} shards put the
+// victim, the same ShardStats and Range contents, and both per-shard
+// identities (checkShardAlgebra). Per-shard capacities {1, 3, 16} over {1, 2} shards put the
 // tape through many index rebuilds, tombstone reuses and the
 // single-slot start.
 func TestEvictionEquivalenceVsReference(t *testing.T) {
@@ -292,8 +297,8 @@ func TestEvictionEquivalenceVsReference(t *testing.T) {
 		for _, perShard := range []int{1, 3, 16} {
 			t.Run(fmt.Sprintf("shards=%d/perShard=%d", shards, perShard), func(t *testing.T) {
 				c := New[*box](shards*perShard, shards)
-				if c.PerShard() != perShard {
-					t.Fatalf("geometry: perShard %d, want %d", c.PerShard(), perShard)
+				if got := c.Capacity() / c.Shards(); got != perShard {
+					t.Fatalf("geometry: perShard %d, want %d", got, perShard)
 				}
 				ref := newPolicyRef(c)
 				keys := 3*shards*perShard + 2
@@ -374,8 +379,8 @@ func TestEvictionEquivalenceVsReference(t *testing.T) {
 					checkAgainstPolicy(t, op, what, c, ref, prev, now, wantLost)
 					prev = now
 				}
-				if c.Evictions() < 5000 {
-					t.Fatalf("only %d evictions over the tape: it does not exercise eviction order", c.Evictions())
+				if ev := sumShardStats(c).Evictions; ev < 5000 {
+					t.Fatalf("only %d evictions over the tape: it does not exercise eviction order", ev)
 				}
 			})
 		}
@@ -384,9 +389,9 @@ func TestEvictionEquivalenceVsReference(t *testing.T) {
 
 // checkAgainstPolicy compares the cache's observable state after one op
 // with the reference's: the keys Range lost since the op began against
-// the reference's victim and removal (wantLost), then Evictions, Len,
-// Occupancy, every ShardStats field, CostStats, and each resident key's
-// value and cost.
+// the reference's victim and removal (wantLost), then every ShardStats
+// field, each resident key's value and cost, and the per-shard
+// identities.
 func checkAgainstPolicy(t *testing.T, op int, what string, c *Cache[*box], ref *policyRef, prev, now map[string]resident, wantLost []string) {
 	t.Helper()
 	var lost []string
@@ -399,8 +404,7 @@ func checkAgainstPolicy(t *testing.T, op int, what string, c *Cache[*box], ref *
 		t.Fatalf("op %d (%s): the cache dropped %v, the reference %v", op, what, lost, wantLost)
 	}
 	var evictions uint64
-	var want CostStats
-	stats, occ := c.ShardStats(), c.Occupancy()
+	stats := c.ShardStats()
 	total := 0
 	for i := range ref.shards {
 		rs := &ref.shards[i]
@@ -409,47 +413,70 @@ func checkAgainstPolicy(t *testing.T, op int, what string, c *Cache[*box], ref *
 		if stats[i] != ws {
 			t.Fatalf("op %d (%s): shard %d stats %+v, reference %+v", op, what, i, stats[i], ws)
 		}
-		if occ[i] != len(rs.table) {
-			t.Fatalf("op %d (%s): shard %d occupancy %d, reference %d", op, what, i, occ[i], len(rs.table))
-		}
 		total += len(rs.table)
 		evictions += ws.Evictions
-		want.Added += ws.CostAdded
-		want.Evicted += ws.CostEvicted
-		want.Removed += ws.CostRemoved
-		want.Saved += ws.CostSaved
 		for k, e := range rs.table {
 			if got, ok := now[k]; !ok || got.val != e.val || got.cost != e.cost {
 				t.Fatalf("op %d (%s): Range has %q as %+v (present %v), reference %+v", op, what, k, got, ok, *e)
 			}
 		}
 	}
-	if len(now) != total || c.Len() != total {
-		t.Fatalf("op %d (%s): Range reports %d keys and Len %d, reference holds %d", op, what, len(now), c.Len(), total)
+	if len(now) != total {
+		t.Fatalf("op %d (%s): Range reports %d keys, reference holds %d", op, what, len(now), total)
 	}
-	if c.Evictions() != evictions || uint64(len(ref.victims)) != evictions {
-		t.Fatalf("op %d (%s): Evictions %d, reference %d", op, what, c.Evictions(), evictions)
+	if uint64(len(ref.victims)) != evictions {
+		t.Fatalf("op %d (%s): reference lists %d victims but counts %d evictions", op, what, len(ref.victims), evictions)
 	}
-	if cs := c.CostStats(); cs != want {
-		t.Fatalf("op %d (%s): CostStats %+v, reference %+v", op, what, cs, want)
+	checkShardAlgebra(t, fmt.Sprintf("op %d (%s)", op, what), c, now)
+}
+
+// checkShardAlgebra asserts the two identities each shard keeps between
+// its counters and its contents: the entries it holds are its inserts
+// (misses and warm fills) less its evictions and removals, and the
+// recompute cost of the entries Range reports in it (now) is its ledger's
+// balance, CostAdded − CostEvicted − CostRemoved.
+func checkShardAlgebra(t *testing.T, where string, c *Cache[*box], now map[string]resident) {
+	t.Helper()
+	stats := c.ShardStats()
+	resident := make([]uint64, len(stats))
+	for k, r := range now {
+		resident[c.ShardIndex(k)] += uint64(r.cost)
+	}
+	for i, ss := range stats {
+		if uint64(ss.Entries) != ss.Misses+ss.WarmFills-ss.Evictions-ss.Removals {
+			t.Fatalf("%s: shard %d holds %d entries, but misses %d + warm fills %d - evictions %d - removals %d differ",
+				where, i, ss.Entries, ss.Misses, ss.WarmFills, ss.Evictions, ss.Removals)
+		}
+		if resident[i] != ss.CostAdded-ss.CostEvicted-ss.CostRemoved {
+			t.Fatalf("%s: shard %d resident cost %d != added %d - evicted %d - removed %d",
+				where, i, resident[i], ss.CostAdded, ss.CostEvicted, ss.CostRemoved)
+		}
 	}
 }
 
-// removalsIn recomputes successful removals from the fill/occupancy
-// identity — the cache does not count removals itself (the Service layer
-// does), so the test derives them: removals = fills − entries.
-func removalsIn(c *Cache[*box], ref *refCache) int {
-	st := sumShardStats(c)
-	return int(st.Misses+st.WarmFills) - ref.len()
+// residents returns what Range reports, failing on a key reported twice.
+func residents(t *testing.T, c *Cache[*box]) map[string]resident {
+	t.Helper()
+	now := map[string]resident{}
+	c.Range(func(k string, v *box, cost int64) bool {
+		if _, dup := now[k]; dup {
+			t.Fatalf("Range reported %q twice", k)
+		}
+		now[k] = resident{v, cost}
+		return true
+	})
+	return now
 }
 
-// sumShardStats folds ShardStats into one ShardStat.
-func sumShardStats(c *Cache[*box]) ShardStat {
+// sumShardStats folds ShardStats into one ShardStat: the cache-wide
+// figures.
+func sumShardStats[V comparable](c *Cache[V]) ShardStat {
 	var total ShardStat
 	for _, ss := range c.ShardStats() {
 		total.Hits += ss.Hits
 		total.Misses += ss.Misses
 		total.Evictions += ss.Evictions
+		total.Removals += ss.Removals
 		total.WarmFills += ss.WarmFills
 		total.Entries += ss.Entries
 		total.CostAdded += ss.CostAdded
@@ -467,10 +494,10 @@ func sumShardStats(c *Cache[*box]) ShardStat {
 // final states nondeterministic, so the reconciliation is per-operation
 // identity invariants (a lookup for k only ever returns a box inserted
 // under k; a removed box is never observed again by its remover) plus
-// the closing counter algebra: entries == misses + warmFills − evictions
-// − removals == Σ shard entries ≤ capacity, and the cost ledger identity
-// resident == added − evicted − removed == Σ resident entry costs.
-// Run under -race, this doubles as the memory-model check on the
+// the closing counter algebra: the removals the cache counted are the
+// ones its callers saw succeed, Σ shard entries ≤ capacity, and per shard
+// entries == misses + warmFills − evictions − removals and
+// Σ resident entry costs == added − evicted − removed. Run under -race, this doubles as the memory-model check on the
 // in-place index writes and rebuilds.
 func TestConcurrentHarnessInvariants(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
@@ -542,35 +569,22 @@ func TestConcurrentHarnessInvariants(t *testing.T) {
 			}
 
 			st := sumShardStats(c)
-			entries := c.Len()
-			if got := int(st.Misses+st.WarmFills) - int(st.Evictions) - int(removals.Load()); got != entries {
-				t.Errorf("fill algebra: misses %d + warm %d - evictions %d - removals %d = %d, want entries %d",
-					st.Misses, st.WarmFills, st.Evictions, removals.Load(), got, entries)
+			if st.Removals != removals.Load() {
+				t.Errorf("cache counted %d removals, callers saw %d succeed", st.Removals, removals.Load())
 			}
-			if st.Entries != entries {
-				t.Errorf("shard entries sum %d != Len %d", st.Entries, entries)
+			if st.Entries > c.Capacity() {
+				t.Errorf("entries %d exceed capacity %d", st.Entries, c.Capacity())
 			}
-			if entries > c.Capacity() {
-				t.Errorf("entries %d exceed capacity %d", entries, c.Capacity())
-			}
-			cs := c.CostStats()
-			var resident uint64
-			seen := 0
-			c.Range(func(key string, v *box, cost int64) bool {
-				if v.key != key {
-					t.Errorf("Range: box for %q filed under %q", v.key, key)
+			now := residents(t, c)
+			for key, r := range now {
+				if r.val.key != key {
+					t.Errorf("Range: box for %q filed under %q", r.val.key, key)
 				}
-				resident += uint64(cost)
-				seen++
-				return true
-			})
-			if seen != entries {
-				t.Errorf("Range visited %d entries, Len says %d", seen, entries)
 			}
-			if got := cs.Resident(); got != resident {
-				t.Errorf("cost ledger: added %d - evicted %d - removed %d = %d, want Σ resident costs %d",
-					cs.Added, cs.Evicted, cs.Removed, got, resident)
+			if len(now) != st.Entries {
+				t.Errorf("Range visited %d entries, the shards hold %d", len(now), st.Entries)
 			}
+			checkShardAlgebra(t, "after the hammer", c, now)
 		})
 	}
 }
@@ -665,10 +679,7 @@ func TestHitPathTakesNoLocks(t *testing.T) {
 	}
 	// Monitoring reads must not take locks either — they run concurrently
 	// with scrapes in production.
-	c.Len()
 	c.ShardStats()
-	c.Occupancy()
-	c.CostStats()
 	c.Range(func(string, *box, int64) bool { return true })
 	wg.Wait()
 
@@ -716,8 +727,9 @@ func TestCostAwareEviction(t *testing.T) {
 		t.Fatal("cold expensive entry pinned its slot past the bounded bonus")
 	}
 
-	if cs := c.CostStats(); cs.Added != 5_002_000 || cs.Resident() != cs.Added-cs.Evicted-cs.Removed {
-		t.Fatalf("cost ledger off: %+v", cs)
+	// Both costed entries are gone, so their cost left as evicted.
+	if st := sumShardStats(c); st.CostAdded != 5_002_000 || st.CostEvicted != st.CostAdded || st.CostRemoved != 0 {
+		t.Fatalf("cost ledger off: %+v", st)
 	}
 }
 
@@ -743,8 +755,8 @@ func TestSetCostConditions(t *testing.T) {
 	if c.SetCost("a", v, 200) {
 		t.Error("SetCost overwrote an already-recorded cost")
 	}
-	if cs := c.CostStats(); cs.Added != 100 {
-		t.Errorf("CostAdded = %d, want 100", cs.Added)
+	if added := sumShardStats(c).CostAdded; added != 100 {
+		t.Errorf("CostAdded = %d, want 100", added)
 	}
 }
 
@@ -769,8 +781,5 @@ func TestWarmAddSemantics(t *testing.T) {
 	}
 	if st.CostAdded != 300 {
 		t.Errorf("CostAdded=%d, want 300 (second Add must not count)", st.CostAdded)
-	}
-	if c.WarmFills() != 1 {
-		t.Errorf("WarmFills()=%d, want 1", c.WarmFills())
 	}
 }

@@ -64,6 +64,7 @@
 // while every recorded cost is under ~0.5 ms. Answers are identical at
 // any shard count; only which entry a full shard evicts changes.
 // WithCacheSize capacity is split across shards by ceiling division with
-// a floor of one entry per shard, and Stats reports aggregate counters
-// plus per-shard occupancy (CacheStats.ShardEntries).
+// a floor of one entry per shard. The shards own every cache counter;
+// Stats sums one ShardStats read and adds the bypasses, the one count the
+// Service keeps itself, plus per-shard occupancy (CacheStats.ShardEntries).
 package core

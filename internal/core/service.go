@@ -51,20 +51,10 @@ type Service struct {
 	// lock — which is what makes the in-flight dedup below work.
 	cache *cache.Cache[*cacheEntry]
 
-	// Counters are atomics, not lock-guarded fields: Stats() is a
-	// monitoring endpoint (/v1/stats) polled while queries are in flight,
-	// so reads must neither tear nor contend with the cache locks, and the
-	// bypass path can count itself without taking any lock at all.
-	// Evictions live on the cache itself, aggregated the same way.
-	hits     atomic.Uint64
-	misses   atomic.Uint64
+	// bypasses counts queries answered around the cache. It is the one
+	// CacheStats counter kept here: every other one is counted by the
+	// cache's shards (see Stats).
 	bypasses atomic.Uint64
-	// removals counts entries deliberately evicted because their outcome
-	// must not be cached — cancellation results and panicked computations.
-	// It closes the residency algebra (see CacheStats) on those paths:
-	// every miss inserts one entry, and every entry leaves either by
-	// capacity eviction or by a removal.
-	removals atomic.Uint64
 
 	// Planner observability: the size of every non-singleton batch group
 	// and the wall time of every lazy Shared build. Owned here (one pair
@@ -206,7 +196,6 @@ func (s *Service) connectWith(ctx context.Context, terminals []int, q queryConfi
 			return &cacheEntry{done: make(chan struct{}), terms: terms, fp: fp}
 		})
 		if hit {
-			s.hits.Add(1)
 			outcome := "hit"
 			if tr != nil {
 				// Distinguish a settled hit from in-flight dedup without
@@ -237,7 +226,6 @@ func (s *Service) connectWith(ctx context.Context, terminals []int, q queryConfi
 			csp.End()
 			return ent.conn, ent.err
 		}
-		s.misses.Add(1)
 		csp.Annotate("outcome", "miss")
 		csp.End()
 
@@ -257,9 +245,7 @@ func (s *Service) connectWith(ctx context.Context, terminals []int, q queryConfi
 			// blocked on done forever; the panic itself keeps propagating
 			// to this caller.
 			ent.err = fmt.Errorf("core: Connect panicked for cache key %q", key)
-			if s.cache.Remove(key, ent) {
-				s.removals.Add(1)
-			}
+			s.cache.Remove(key, ent)
 			close(ent.done)
 		}()
 		start := time.Now()
@@ -270,9 +256,7 @@ func (s *Service) connectWith(ctx context.Context, terminals []int, q queryConfi
 			// outcome must find the key absent when they retry. Remove is
 			// conditional on entry identity, so a concurrent capacity
 			// eviction plus re-insert is never clobbered.
-			if s.cache.Remove(key, ent) {
-				s.removals.Add(1)
-			}
+			s.cache.Remove(key, ent)
 		} else if ent.err == nil {
 			// Record what this answer cost to compute — eviction uses it to
 			// prefer dropping cheap-to-recompute entries, and a persisted
@@ -358,6 +342,7 @@ func (s *Service) ConnectBatch(ctx context.Context, queries [][]int, opts ...Que
 // Entries == Misses + WarmFills − Evictions − Removals. The cost ledger
 // satisfies its own identity:
 // CostResidentNanos == CostAddedNanos − CostEvictedNanos − CostRemovedNanos.
+// Every counter but Bypasses is summed from the cache's shards (ShardStats).
 type CacheStats struct {
 	Hits      uint64 // lookups that found an entry (including in-flight)
 	Misses    uint64 // lookups that started a computation
@@ -390,43 +375,41 @@ type CacheStats struct {
 	CostSavedNanos    uint64
 }
 
-// ShardStats returns the answer cache's per-shard hit/miss/eviction
-// counters and occupancy, in shard order — the source for the per-shard
-// /metrics series. Shard hits sum to Stats().Hits and shard misses to
-// Stats().Misses: Service counts a hit exactly when the key's shard does
-// (including an in-flight-dedup retry, which runs one more lookup at both
-// levels). Bypasses never touch the cache, so they have no shard.
+// ShardStats returns the answer cache's per-shard counters and
+// occupancy, in shard order — the source for the per-shard /metrics
+// series and for every Stats counter but Bypasses. An in-flight-dedup
+// retry runs one more lookup and so counts one more hit or miss.
+// Bypasses never touch the cache, so they have no shard.
 func (s *Service) ShardStats() []cache.ShardStat { return s.cache.ShardStats() }
 
-// Stats returns current cache counters. A hit counts any lookup that found
-// an entry, including one still in flight. Counters are read atomically
-// and occupancy comes off the shards' atomic entry counts, so a monitoring
-// poll never takes a lock at all — scrapes cannot perturb the serving
-// path.
+// Stats returns current cache counters: one ShardStats read, summed,
+// plus the bypass count. A hit counts any lookup that found an entry,
+// including one still in flight. Every counter is an atomic, so a
+// monitoring poll never takes a lock at all — scrapes cannot perturb the
+// serving path.
 func (s *Service) Stats() CacheStats {
-	occ := s.cache.Occupancy()
-	entries := 0
-	for _, n := range occ {
-		entries += n
+	shards := s.cache.ShardStats()
+	st := CacheStats{
+		Bypasses:     s.bypasses.Load(),
+		Shards:       len(shards),
+		Capacity:     s.cache.Capacity(),
+		ShardEntries: make([]int, len(shards)),
 	}
-	costs := s.cache.CostStats()
-	return CacheStats{
-		Hits:              s.hits.Load(),
-		Misses:            s.misses.Load(),
-		Evictions:         s.cache.Evictions(),
-		Bypasses:          s.bypasses.Load(),
-		Removals:          s.removals.Load(),
-		WarmFills:         s.cache.WarmFills(),
-		Entries:           entries,
-		Shards:            s.cache.Shards(),
-		Capacity:          s.cache.Capacity(),
-		ShardEntries:      occ,
-		CostAddedNanos:    costs.Added,
-		CostEvictedNanos:  costs.Evicted,
-		CostRemovedNanos:  costs.Removed,
-		CostResidentNanos: costs.Resident(),
-		CostSavedNanos:    costs.Saved,
+	for i, ss := range shards {
+		st.Hits += ss.Hits
+		st.Misses += ss.Misses
+		st.Evictions += ss.Evictions
+		st.Removals += ss.Removals
+		st.WarmFills += ss.WarmFills
+		st.Entries += ss.Entries
+		st.ShardEntries[i] = ss.Entries
+		st.CostAddedNanos += ss.CostAdded
+		st.CostEvictedNanos += ss.CostEvicted
+		st.CostRemovedNanos += ss.CostRemoved
+		st.CostSavedNanos += ss.CostSaved
 	}
+	st.CostResidentNanos = st.CostAddedNanos - st.CostEvictedNanos - st.CostRemovedNanos
+	return st
 }
 
 // warmKey rebuilds the cache key for a warm install — the same

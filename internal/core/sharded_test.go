@@ -2,11 +2,14 @@ package core_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/bipartite"
 	"repro/internal/cache"
@@ -213,49 +216,97 @@ func assertStatsReconcile(t *testing.T, st core.CacheStats, total uint64) {
 }
 
 // TestCacheStatsAccuracyUnderConcurrency is the dedicated stats-accuracy
-// hammer: a deliberately tiny sharded cache under concurrent hits, misses,
-// evictions and bypasses, whose totals must still reconcile exactly with
-// the number of requests issued.
+// hammer: a deliberately tiny sharded cache under concurrent hits,
+// misses, evictions, bypasses and removals, whose totals must still
+// reconcile exactly with the number of lookups made. The scheme is
+// hardInstance's grid: its 2-terminal queries stay cheap, while its
+// 16-terminal query under a 1 ms deadline is cancelled mid-solve, and the
+// cancellation removes the query's entry. One goroutine issues every
+// cancelled query, so no caller waits on that key: a waiter that retries
+// would make two lookups of one request.
 func TestCacheStatsAccuracyUnderConcurrency(t *testing.T) {
-	ctx := context.Background()
-	b := fixtures.Fig3b()
-	conn := core.New(b)
-	svc := core.NewService(conn, core.WithCacheSize(2), core.WithCacheShards(4))
-	// Every 2-subset of the 5 nodes is a valid query; 10 keys over an
-	// effective capacity of 4 guarantees constant eviction churn.
+	conn, hard := hardInstance(t)
+	// The cancelled query gets a shard of its own: the workers ask only
+	// 2-terminal queries filed elsewhere, so no worker's miss evicts a
+	// cancelled entry in flight and every cancelled lookup is removed.
+	own := shardOf(conn, hard, time.Millisecond)
 	var pool [][]int
-	for x := 0; x < b.N(); x++ {
-		for y := x + 1; y < b.N(); y++ {
-			pool = append(pool, []int{x, y})
+	for x := 0; x < 8 && len(pool) < 10; x++ {
+		for y := x + 1; y < 8 && len(pool) < 10; y++ {
+			if shardOf(conn, []int{x, y}, time.Minute) != own {
+				pool = append(pool, []int{x, y})
+			}
 		}
 	}
+	// 10 keys over the 3 other shards, one entry each, guarantee
+	// constant eviction churn.
+	svc := core.NewService(conn, core.WithCacheSize(2), core.WithCacheShards(4))
 	const goroutines, perG = 8, 200
 	var wg sync.WaitGroup
+	var running atomic.Int32
+	running.Store(goroutines)
 	for w := 0; w < goroutines; w++ {
 		wg.Add(1)
 		go func(seed int) {
 			defer wg.Done()
+			defer running.Add(-1)
 			rr := rand.New(rand.NewSource(int64(seed)))
 			for i := 0; i < perG; i++ {
 				var opts []core.QueryOption
 				if i%7 == 6 {
 					opts = append(opts, core.WithCacheBypass())
 				}
-				if _, err := svc.Connect(ctx, pool[rr.Intn(len(pool))], opts...); err != nil {
+				if _, err := svc.Connect(context.Background(), pool[rr.Intn(len(pool))], opts...); err != nil {
 					t.Errorf("connect: %v", err)
 					return
 				}
 			}
 		}(w)
 	}
+	// Cancelled queries run while the workers do, and on until one has
+	// made its lookup: a deadline that fires before the lookup counts
+	// nothing.
+	for n := 0; running.Load() > 0 || svc.ShardStats()[own].Misses == 0; n++ {
+		if n == 1000 {
+			t.Error("1000 cancelled queries and no lookup")
+			break
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+		_, err := svc.Connect(ctx, hard)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("cancelled query: err = %v, want context.DeadlineExceeded", err)
+		}
+	}
 	wg.Wait()
-	st := svc.Stats()
-	assertStatsReconcile(t, st, goroutines*perG)
+	st, cancelled := svc.Stats(), svc.ShardStats()[own]
+	assertStatsReconcile(t, st, goroutines*perG+cancelled.Misses)
+	if cancelled.Removals == 0 || cancelled.Removals != cancelled.Misses || cancelled.Hits != 0 || cancelled.Evictions != 0 {
+		t.Errorf("cancelled queries' shard %d: %+v, want every lookup a miss, removed", own, cancelled)
+	}
 	if st.Evictions == 0 {
 		t.Errorf("tiny cache under churn never evicted: %+v", st)
 	}
-	if st.Bypasses == 0 || st.Hits == 0 || st.Misses == 0 {
+	if st.Bypasses == 0 || st.Hits == 0 || st.Misses == 0 || st.Removals == 0 {
 		t.Errorf("hammer failed to exercise every counter: %+v", st)
+	}
+}
+
+// shardOf returns the shard a 4-shard answer cache over conn files the
+// query under: the one whose miss count the query's first lookup raises.
+// A query whose deadline fires before its lookup raises none and is
+// asked again.
+func shardOf(conn *core.Connector, terms []int, timeout time.Duration) int {
+	svc := core.NewService(conn, core.WithCacheShards(4))
+	for {
+		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		_, _ = svc.Connect(ctx, terms)
+		cancel()
+		for i, ss := range svc.ShardStats() {
+			if ss.Misses > 0 {
+				return i
+			}
+		}
 	}
 }
 

@@ -186,7 +186,8 @@ type Interpretation struct {
 // ranked by the number of auxiliary objects (minimal first) — the
 // disambiguation flow of the paper's introduction. limit bounds the number
 // of alternatives returned, ctx the enumeration itself (it is exponential
-// in the auxiliary budget).
+// in the auxiliary budget). Objects in different components of the object
+// graph have no interpretation.
 func (s *Scheme) Interpretations(ctx context.Context, query []string, limit int) ([]Interpretation, error) {
 	g := s.Graph()
 	terminals := make([]int, len(query))
@@ -196,6 +197,11 @@ func (s *Scheme) Interpretations(ctx context.Context, query []string, limit int)
 			return nil, fmt.Errorf("er: unknown object %q", name)
 		}
 		terminals[i] = id
+	}
+	// The auxiliary budget is the whole graph, so across components the
+	// enumeration below would try every auxiliary set before finding none.
+	if g.ComponentContaining(terminals) == nil {
+		return nil, nil
 	}
 	p := intset.FromSlice(terminals)
 	covers, err := steiner.RankedCovers(ctx, g, terminals, g.N(), limit)

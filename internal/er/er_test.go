@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/reference"
 )
@@ -86,6 +88,31 @@ func TestDisconnectedQuery(t *testing.T) {
 	)
 	if _, err := s.MinimalConnection(context.Background(), []string{"a", "b"}); err == nil {
 		t.Error("disconnected objects should not connect")
+	}
+}
+
+// TestQueryAcrossComponentsFailsFast queries one entity on each of two
+// disjoint 16-object cycles of entities and binary relationships. The
+// objects cannot be connected, and the answer must come at once, not after
+// the enumeration of every auxiliary set, which would outlast the 2 s
+// deadline.
+func TestQueryAcrossComponentsFailsFast(t *testing.T) {
+	var objs []Object
+	for _, ring := range []string{"a", "b"} {
+		for i := 0; i < 8; i++ {
+			objs = append(objs, Object{Name: fmt.Sprintf("%s_e%d", ring, i), Kind: KindEntity})
+		}
+		for i := 0; i < 8; i++ {
+			objs = append(objs, Object{Name: fmt.Sprintf("%s_r%d", ring, i), Kind: KindRelationship,
+				Components: []string{fmt.Sprintf("%s_e%d", ring, i), fmt.Sprintf("%s_e%d", ring, (i+1)%8)}})
+		}
+	}
+	s := MustScheme(objs...)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	_, err := s.MinimalConnection(ctx, []string{"a_e0", "b_e0"})
+	if err == nil || !strings.Contains(err.Error(), "cannot be connected") {
+		t.Fatalf("err = %v, want the objects reported as not connectable", err)
 	}
 }
 

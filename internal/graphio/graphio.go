@@ -1,6 +1,6 @@
-// Package graphio parses and serializes the textual formats the command
-// line tools consume: bipartite graphs, hypergraphs and relational
-// schemas.
+// Package graphio parses the textual formats the command line tools
+// consume — bipartite graphs, hypergraphs and relational databases — and
+// writes the JSON classification report chordalctl prints.
 //
 // Bipartite graph format (one directive per line, '#' starts a comment):
 //
@@ -13,9 +13,10 @@
 //	node A          # optional explicit node declaration
 //	edge e1 A B C   # edge name followed by its member nodes
 //
-// Schema format:
+// Database format (see ReadDatabase):
 //
-//	relation emp name dept salary
+//	relation emp name dept   # scheme declaration
+//	tuple emp ann toys       # a tuple of a declared relation
 package graphio
 
 import (
@@ -25,9 +26,7 @@ import (
 	"strings"
 
 	"repro/internal/bipartite"
-	"repro/internal/graph"
 	"repro/internal/hypergraph"
-	"repro/internal/schema"
 )
 
 // directives splits the input into non-empty, comment-stripped,
@@ -100,31 +99,6 @@ func ReadBipartite(r io.Reader) (*bipartite.Graph, error) {
 	return b, nil
 }
 
-// WriteBipartite serializes a bipartite graph in the same format.
-func WriteBipartite(w io.Writer, b *bipartite.Graph) error {
-	g := b.G()
-	for _, v := range b.V1() {
-		if _, err := fmt.Fprintf(w, "v1 %s\n", g.Label(v)); err != nil {
-			return err
-		}
-	}
-	for _, v := range b.V2() {
-		if _, err := fmt.Fprintf(w, "v2 %s\n", g.Label(v)); err != nil {
-			return err
-		}
-	}
-	for _, e := range g.Edges() {
-		u, v := e.U, e.V
-		if b.Side(u) == graph.Side2 {
-			u, v = v, u
-		}
-		if _, err := fmt.Fprintf(w, "edge %s %s\n", g.Label(u), g.Label(v)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ReadHypergraph parses the hypergraph format. Edge members that were not
 // declared with a node directive are created implicitly.
 func ReadHypergraph(r io.Reader) (*hypergraph.Hypergraph, error) {
@@ -154,44 +128,4 @@ func ReadHypergraph(r io.Reader) (*hypergraph.Hypergraph, error) {
 		}
 	}
 	return h, nil
-}
-
-// WriteHypergraph serializes a hypergraph in the same format.
-func WriteHypergraph(w io.Writer, h *hypergraph.Hypergraph) error {
-	for v := 0; v < h.N(); v++ {
-		if _, err := fmt.Fprintf(w, "node %s\n", h.NodeLabel(v)); err != nil {
-			return err
-		}
-	}
-	for i := 0; i < h.M(); i++ {
-		name := h.EdgeName(i)
-		if name == "" {
-			name = fmt.Sprintf("e%d", i)
-		}
-		if _, err := fmt.Fprintf(w, "edge %s %s\n", name,
-			strings.Join(h.NodeLabels(h.Edge(i)), " ")); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadSchema parses the schema format.
-func ReadSchema(r io.Reader) (*schema.Schema, error) {
-	ds, err := directives(r)
-	if err != nil {
-		return nil, err
-	}
-	var rels []schema.RelScheme
-	for _, d := range ds {
-		line, cmd, args := d[0], d[1], d[2:]
-		if cmd != "relation" {
-			return nil, fmt.Errorf("graphio: line %s: unknown directive %q", line, cmd)
-		}
-		if len(args) < 2 {
-			return nil, fmt.Errorf("graphio: line %s: relation wants a name and attributes", line)
-		}
-		rels = append(rels, schema.RelScheme{Name: args[0], Attrs: args[1:]})
-	}
-	return schema.New(rels...)
 }

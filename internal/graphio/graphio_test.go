@@ -1,11 +1,8 @@
 package graphio
 
 import (
-	"bytes"
 	"strings"
 	"testing"
-
-	"repro/internal/fixtures"
 )
 
 func TestReadBipartite(t *testing.T) {
@@ -46,28 +43,6 @@ func TestReadBipartiteErrors(t *testing.T) {
 	}
 }
 
-func TestBipartiteRoundTrip(t *testing.T) {
-	b := fixtures.Fig11()
-	var buf bytes.Buffer
-	if err := WriteBipartite(&buf, b); err != nil {
-		t.Fatal(err)
-	}
-	b2, err := ReadBipartite(&buf)
-	if err != nil {
-		t.Fatalf("%v\n%s", err, buf.String())
-	}
-	if b2.N() != b.N() || b2.M() != b.M() {
-		t.Errorf("round trip: N=%d M=%d want N=%d M=%d", b2.N(), b2.M(), b.N(), b.M())
-	}
-	for _, e := range b.G().Edges() {
-		u := b2.G().MustID(b.G().Label(e.U))
-		v := b2.G().MustID(b.G().Label(e.V))
-		if !b2.G().HasEdge(u, v) {
-			t.Errorf("edge %s-%s lost", b.G().Label(e.U), b.G().Label(e.V))
-		}
-	}
-}
-
 func TestReadHypergraph(t *testing.T) {
 	in := `
 node a
@@ -93,41 +68,6 @@ func TestReadHypergraphErrors(t *testing.T) {
 	for _, in := range cases {
 		if _, err := ReadHypergraph(strings.NewReader(in)); err == nil {
 			t.Errorf("input %q accepted", in)
-		}
-	}
-}
-
-func TestHypergraphRoundTrip(t *testing.T) {
-	in := "edge e1 a b c\nedge e2 c d\nedge e3 a\n"
-	h, err := ReadHypergraph(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteHypergraph(&buf, h); err != nil {
-		t.Fatal(err)
-	}
-	h2, err := ReadHypergraph(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !h.Equal(h2) {
-		t.Errorf("round trip changed hypergraph:\n%v\n%v", h, h2)
-	}
-}
-
-func TestReadSchema(t *testing.T) {
-	in := "relation emp name dept\nrelation dept dept floor\n"
-	s, err := ReadSchema(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Relations) != 2 || s.Relations[0].Name != "emp" {
-		t.Errorf("schema = %v", s)
-	}
-	for _, bad := range []string{"relation onlyname", "table x y", "relation r a\nrelation r b"} {
-		if _, err := ReadSchema(strings.NewReader(bad)); err == nil {
-			t.Errorf("input %q accepted", bad)
 		}
 	}
 }

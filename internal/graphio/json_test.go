@@ -7,76 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/fixtures"
-	"repro/internal/hypergraph"
 )
-
-func TestBipartiteJSONRoundTrip(t *testing.T) {
-	b := fixtures.Fig11()
-	data, err := MarshalBipartite(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := UnmarshalBipartite(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b2.N() != b.N() || b2.M() != b.M() {
-		t.Fatalf("round trip sizes N=%d M=%d", b2.N(), b2.M())
-	}
-	for _, e := range b.G().Edges() {
-		u := b2.G().MustID(b.G().Label(e.U))
-		v := b2.G().MustID(b.G().Label(e.V))
-		if !b2.G().HasEdge(u, v) {
-			t.Errorf("edge lost: %s-%s", b.G().Label(e.U), b.G().Label(e.V))
-		}
-	}
-}
-
-func TestBipartiteJSONErrors(t *testing.T) {
-	cases := []string{
-		`{`,
-		`{"v1":["a","a"],"v2":[],"edges":[]}`,
-		`{"v1":["a"],"v2":["r"],"edges":[["a","ghost"]]}`,
-		`{"v1":["a","b"],"v2":[],"edges":[["a","b"]]}`,
-	}
-	for _, c := range cases {
-		if _, err := UnmarshalBipartite([]byte(c)); err == nil {
-			t.Errorf("input %q accepted", c)
-		}
-	}
-}
-
-func TestHypergraphJSONRoundTrip(t *testing.T) {
-	h := hypergraph.New()
-	h.AddEdgeLabels("e1", "a", "b")
-	h.AddEdgeLabels("e2", "b", "c")
-	h.AddEdgeLabels("e1", "a", "b") // duplicate name AND duplicate edge
-	data, err := MarshalHypergraph(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := UnmarshalHypergraph(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !h.Equal(h2) {
-		t.Fatalf("round trip changed hypergraph:\n%v\n%v", h, h2)
-	}
-}
-
-func TestHypergraphJSONErrors(t *testing.T) {
-	cases := []string{
-		`{`,
-		`{"nodes":["a","a"],"edges":{}}`,
-		`{"nodes":["a"],"edges":{"e":[]}}`,
-		`{"nodes":["a"],"edges":{"e":["a"]},"edgeOrder":["ghost"]}`,
-	}
-	for _, c := range cases {
-		if _, err := UnmarshalHypergraph([]byte(c)); err == nil {
-			t.Errorf("input %q accepted", c)
-		}
-	}
-}
 
 func TestReport(t *testing.T) {
 	var buf bytes.Buffer

@@ -112,6 +112,18 @@ done
 # The per-shard decomposition exists (values depend on key hashing).
 grep -qF 'chordal_cache_shard_entries{scheme="library",shard="3"}' "$METRICS" \
   || { echo "/metrics missing per-shard series for the 4-shard cache" >&2; exit 1; }
+# ...and the library scheme's 4 shard series of each kind sum to its
+# per-scheme series.
+for m in hits_total misses_total evictions_total entries; do
+  awk -v shard="chordal_cache_shard_$m{scheme=\"library\"," -v total="chordal_cache_$m{scheme=\"library\"}" '
+    index($1, shard) == 1 { sum += $2; n++ }
+    $1 == total { want = $2; found = 1 }
+    END {
+      if (n == 4 && found && sum == want) exit 0
+      printf "/metrics: %d series %s...} sum to %g, %s reads %g\n", n, shard, sum, total, want > "/dev/stderr"
+      exit 1
+    }' "$METRICS"
+done
 # Warm fills exist as a family (zero here: nothing booted from a warm snapshot).
 grep -qF 'chordal_cache_warm_fills_total{scheme="library"} 0' "$METRICS" \
   || { echo "/metrics missing warm-fills series (want 0 on a cold boot)" >&2; exit 1; }
