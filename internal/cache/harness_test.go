@@ -288,9 +288,9 @@ type resident struct {
 // than the capacity so most inserts evict, against the cache and
 // policyRef, and after every op requires the same outcome, the same
 // victim, the same ShardStats and Range contents, and both per-shard
-// identities (checkShardAlgebra). Per-shard capacities {1, 3, 16} over {1, 2} shards put the
-// tape through many index rebuilds, tombstone reuses and the
-// single-slot start.
+// identities (checkShardAlgebra). Per-shard capacities {1, 3, 16} over
+// {1, 2} shards put the tape through many index rebuilds, tombstone
+// reuses and the single-slot start.
 func TestEvictionEquivalenceVsReference(t *testing.T) {
 	costs := []int64{1_000, 400_000, 600_000, 5_000_000, 80_000_000}
 	for _, shards := range []int{1, 2} {
@@ -403,7 +403,6 @@ func checkAgainstPolicy(t *testing.T, op int, what string, c *Cache[*box], ref *
 	if !slices.Equal(lost, wantLost) {
 		t.Fatalf("op %d (%s): the cache dropped %v, the reference %v", op, what, lost, wantLost)
 	}
-	var evictions uint64
 	stats := c.ShardStats()
 	total := 0
 	for i := range ref.shards {
@@ -414,7 +413,6 @@ func checkAgainstPolicy(t *testing.T, op int, what string, c *Cache[*box], ref *
 			t.Fatalf("op %d (%s): shard %d stats %+v, reference %+v", op, what, i, stats[i], ws)
 		}
 		total += len(rs.table)
-		evictions += ws.Evictions
 		for k, e := range rs.table {
 			if got, ok := now[k]; !ok || got.val != e.val || got.cost != e.cost {
 				t.Fatalf("op %d (%s): Range has %q as %+v (present %v), reference %+v", op, what, k, got, ok, *e)
@@ -423,9 +421,6 @@ func checkAgainstPolicy(t *testing.T, op int, what string, c *Cache[*box], ref *
 	}
 	if len(now) != total {
 		t.Fatalf("op %d (%s): Range reports %d keys, reference holds %d", op, what, len(now), total)
-	}
-	if uint64(len(ref.victims)) != evictions {
-		t.Fatalf("op %d (%s): reference lists %d victims but counts %d evictions", op, what, len(ref.victims), evictions)
 	}
 	checkShardAlgebra(t, fmt.Sprintf("op %d (%s)", op, what), c, now)
 }
