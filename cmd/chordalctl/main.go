@@ -483,12 +483,15 @@ func describeScheme(stdout io.Writer, conn *core.Connector) {
 		fb.N(), len(fb.V1()), len(fb.V2()), fb.M())
 	fmt.Fprint(stdout, conn.Describe())
 
-	h1 := fb.HypergraphV1().H
-	h2 := fb.HypergraphV2().H
-	fmt.Fprintf(stdout, "H1 (nodes=V1, edges=V2 neighbourhoods): %s\n", h1.Classify())
-	fmt.Fprintf(stdout, "H2 (nodes=V2, edges=V1 neighbourhoods): %s\n", h2.Classify())
-	printWitnesses(stdout, "H1", h1)
-	printWitnesses(stdout, "H2", h2)
+	cl := conn.Class()
+	d1, d2 := cl.Degrees()
+	fmt.Fprintf(stdout, "H1 (nodes=V1, edges=V2 neighbourhoods): %s\n", d1)
+	fmt.Fprintf(stdout, "H2 (nodes=V2, edges=V1 neighbourhoods): %s\n", d2)
+	if cl.Chordal41 {
+		return // a forest is every other class too: no witness to find
+	}
+	printWitnesses(stdout, "H1", fb.HypergraphV1().H, cl.Chordal62, cl.V1Conformal)
+	printWitnesses(stdout, "H2", fb.HypergraphV2().H, cl.Chordal62, cl.V2Conformal)
 }
 
 // verboseTo returns w when verbose is set, nil otherwise — the sink
@@ -846,19 +849,27 @@ func countFailed(queries []batchQuery) int {
 	return n
 }
 
-func printWitnesses(w io.Writer, name string, h *hypergraph.Hypergraph) {
+// printWitnesses prints the Berge cycle, special triangle and uncovered
+// clique that h has, skipping each scan that the compiled class proves
+// empty: a γ-acyclic hypergraph has no special triangle, and a conformal
+// one no uncovered clique.
+func printWitnesses(w io.Writer, name string, h *hypergraph.Hypergraph, gamma, conformal bool) {
 	if bc := h.FindBergeCycle(); bc != nil {
 		fmt.Fprintf(w, "%s Berge-cycle witness: edges %v through nodes %v\n",
 			name, edgeNames(h, bc.Edges), h.NodeLabels(bc.Nodes))
 	}
-	if tr := h.FindGammaTriangle(); tr != nil {
-		fmt.Fprintf(w, "%s gamma-triangle witness: (%s, %s, %s) via (%s, %s, %s)\n",
-			name, h.EdgeName(tr.E1), h.EdgeName(tr.E2), h.EdgeName(tr.E3),
-			h.NodeLabel(tr.N1), h.NodeLabel(tr.N2), h.NodeLabel(tr.N3))
+	if !gamma {
+		if tr := h.FindGammaTriangle(); tr != nil {
+			fmt.Fprintf(w, "%s gamma-triangle witness: (%s, %s, %s) via (%s, %s, %s)\n",
+				name, h.EdgeName(tr.E1), h.EdgeName(tr.E2), h.EdgeName(tr.E3),
+				h.NodeLabel(tr.N1), h.NodeLabel(tr.N2), h.NodeLabel(tr.N3))
+		}
 	}
-	if wt := h.ConformalWitness(); wt != nil {
-		fmt.Fprintf(w, "%s conformality witness (uncovered clique): %v\n",
-			name, h.NodeLabels(wt))
+	if !conformal {
+		if wt := h.ConformalWitness(); wt != nil {
+			fmt.Fprintf(w, "%s conformality witness (uncovered clique): %v\n",
+				name, h.NodeLabels(wt))
+		}
 	}
 }
 

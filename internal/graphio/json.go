@@ -28,8 +28,8 @@ type Report struct {
 
 // NewReport classifies b into a serializable report.
 func NewReport(b *bipartite.Graph) Report {
-	fb := b.Freeze()
-	cl := chordality.ClassifyFrozen(fb)
+	cl := chordality.Classify(b)
+	d1, d2 := cl.Degrees()
 	return Report{
 		Nodes:       b.N(),
 		Arcs:        b.M(),
@@ -42,8 +42,8 @@ func NewReport(b *bipartite.Graph) Report {
 		V1Conformal: cl.V1Conformal,
 		V2Chordal:   cl.V2Chordal,
 		V2Conformal: cl.V2Conformal,
-		H1Degree:    fb.HypergraphV1().H.Classify().String(),
-		H2Degree:    fb.HypergraphV2().H.Classify().String(),
+		H1Degree:    d1.String(),
+		H2Degree:    d2.String(),
 	}
 }
 

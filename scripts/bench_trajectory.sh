@@ -2,8 +2,9 @@
 # Pinned benchmark trajectory: run the serving-path micro-benchmarks every
 # PR cares about (the frozen solvers' per-query cost, a (6,2)-chordal
 # query's dispatch, hot cache serving, the answer cache's own hit and
-# full-cache miss, batch throughput, and the bit-parallel kernels against
-# their CSR fallbacks), then the repository's benchmark, perfbench, once
+# full-cache miss, batch throughput, the bit-parallel kernels against
+# their CSR fallbacks, and the compile path's classification), then the
+# repository's benchmark, perfbench, once
 # per BENCHMARK.json workload, and fold both into one schema-versioned
 # BENCH_<tag>.json so perf changes leave a diffable, attributable trail
 # next to the code.
@@ -52,6 +53,7 @@ PINNED=(
   "./internal/core:BenchmarkServeHotParallel"
   "./internal/cache:BenchmarkCacheMissFull|BenchmarkCacheHit"
   "./internal/graph:BenchmarkKernel"
+  "./internal/chordality:BenchmarkClassifyFrozen"
 )
 for entry in "${PINNED[@]}"; do
   go test -run 'xxx' -bench "${entry#*:}" \
