@@ -19,6 +19,7 @@ func distinctRows(off, adj []int32, vs []int) (keep []bool, kept []int32) {
 	keep = make([]bool, len(off)-1)
 	same := make([]int32, len(off)-1) // next kept vertex with the same hash
 	first := make(map[uint64]int32, len(vs))
+next:
 	for _, v := range vs {
 		row := adj[off[v]:off[v+1]]
 		if len(row) == 0 {
@@ -34,12 +35,8 @@ func distinctRows(off, adj []int32, vs []int) (keep []bool, kept []int32) {
 		}
 		for y := x; y >= 0; y = same[y] {
 			if slices.Equal(adj[off[y]:off[y+1]], row) {
-				x = -2
-				break
+				continue next
 			}
-		}
-		if x == -2 {
-			continue
 		}
 		same[v], first[h] = x, int32(v)
 		keep[v] = true
